@@ -709,8 +709,9 @@ pub mod kernel {
 ///
 /// * `gset` — G22-like fixed-degree (deg ≈ 10) with ±9 weights: gains
 ///   collapse onto few distinct values, so threshold selections keep large
-///   candidate sets whose mandatory per-candidate reservoir RNG draws are
-///   shared by both arms (Amdahl-bound); greedy's pure argmin still wins.
+///   candidate sets. The scan arm walks them element by element; the
+///   segment arm builds one candidate word per segment and pays one RNG
+///   draw per pick however large the set.
 /// * `weighted` — deg ≈ 24 with ±99 weights: gains spread out, candidate
 ///   sets shrink to near the minimum, and the segment filter skips almost
 ///   everything. This is where the paper's workhorse PositiveMin (the

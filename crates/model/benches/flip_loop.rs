@@ -117,7 +117,7 @@ fn bench_selection(c: &mut Criterion) {
                     st.flip(i % N);
                     i += 31;
                     let (_, min_d) = st.min_delta();
-                    black_box(st.select_le(min_d.saturating_add(4), &mut rng, |_| true))
+                    black_box(st.select_le(min_d.saturating_add(4), &mut rng, |_| u64::MAX))
                 })
             });
         }

@@ -31,11 +31,16 @@
 //! [`IncrementalState::min_max_argmin`], [`IncrementalState::select_le`],
 //! [`IncrementalState::window_argmin`], …) from `O(n)` re-scans into
 //! `O(n/64 + dirty)` reductions, while keeping their results **bit-identical**
-//! to a sequential scan (same tie-breaks, same reservoir-sampling RNG
-//! stream — the parity suite in `tests/solver_parity.rs` enforces this
-//! against the reference scan path in `dabs_search::reference`).
+//! to a sequential scan (same tie-breaks, and for the uniform pick of
+//! [`IncrementalState::select_le`] the same count-then-one-draw RNG stream
+//! — the parity suite in `tests/solver_parity.rs` enforces this against
+//! the reference scan path in `dabs_search::reference`). Candidate sets
+//! are built as 64-lane words, one per segment, so a pick costs one RNG
+//! draw however many bits qualify. The one sampler without a scan twin,
+//! [`IncrementalState::sampled_argmin`], is held to its exact choice law
+//! instead.
 
-use crate::segments::{seg_of, SegmentAggregates, SEG_SHIFT};
+use crate::segments::{self, seg_count, seg_of, SegmentAggregates, SEG_SHIFT, SEG_WIDTH};
 use crate::{CsrKernel, DenseKernel, QuboKernel, QuboModel, Solution};
 use dabs_rng::Rng64;
 
@@ -48,6 +53,9 @@ pub struct IncrementalState<'m, K: QuboKernel = CsrKernel<'m>> {
     energy: i64,
     delta: Vec<i64>,
     segs: SegmentAggregates,
+    /// Per-segment candidate words of the last [`IncrementalState::select_le`]
+    /// (scratch, so a pick allocates nothing).
+    cand: Vec<u64>,
     flips: u64,
 }
 
@@ -88,6 +96,7 @@ impl<'m, K: QuboKernel> IncrementalState<'m, K> {
             energy: 0,
             delta: kernel.diag().to_vec(),
             segs: SegmentAggregates::all_dirty(model.n()),
+            cand: vec![0; seg_count(model.n())],
             model,
             kernel,
             flips: 0,
@@ -105,6 +114,7 @@ impl<'m, K: QuboKernel> IncrementalState<'m, K> {
         let energy = kernel.init(&x, &mut delta);
         Self {
             segs: SegmentAggregates::all_dirty(model.n()),
+            cand: vec![0; seg_count(model.n())],
             model,
             kernel,
             x,
@@ -253,7 +263,8 @@ impl<'m, K: QuboKernel> IncrementalState<'m, K> {
     /// Smallest strictly positive gain, or `i64::MAX` when no gain is
     /// positive — PositiveMin's threshold. A segment whose min is positive
     /// resolves from the aggregate alone (its min *is* its smallest
-    /// positive); only segments holding non-positive gains are scanned.
+    /// positive); a segment holding non-positive gains resolves with one
+    /// masked min of its positive lanes (`segments::positive_min`).
     /// Near a local minimum nearly all gains are positive, so this is
     /// `O(n/64)` exactly where PositiveMin spends its time.
     pub fn positive_min_delta(&mut self) -> i64 {
@@ -261,87 +272,120 @@ impl<'m, K: QuboKernel> IncrementalState<'m, K> {
         let mut posmin = i64::MAX;
         for s in 0..self.segs.segments() {
             let mn = self.segs.min_of(s);
-            if mn > 0 {
-                posmin = posmin.min(mn);
-                continue;
-            }
-            let (lo, hi) = self.segs.bounds(s);
-            for &d in &self.delta[lo..hi] {
-                if d > 0 && d < posmin {
-                    posmin = d;
-                }
-            }
+            let seg_posmin = if mn > 0 {
+                mn
+            } else {
+                let (lo, hi) = self.segs.bounds(s);
+                segments::positive_min(&self.delta[lo..hi])
+            };
+            posmin = posmin.min(seg_posmin);
         }
         posmin
     }
 
-    /// Reservoir-sample uniformly among `{k : Δ_k ≤ bound ∧ allowed(k)}` in
-    /// index order, skipping whole segments whose min exceeds the bound.
-    /// Draws exactly the same RNG stream as a full sequential scan — skipped
-    /// segments contain no candidates, so no draw is elided — making the
-    /// choice bit-identical to the pre-segment code. Returns `None` when no
-    /// candidate survives `allowed`.
+    /// Pick uniformly among `{k : Δ_k ≤ bound, k allowed}` by counting, with
+    /// one RNG draw per pick. `allowed(s)` is the allowed-bit word of
+    /// segment `s` (bit `ℓ` ↔ bit `64·s + ℓ`; a tabu list's complement).
+    ///
+    /// Each segment's candidate word is its `Δ ≤ bound` lane mask
+    /// (`segments::le_mask`) and `allowed(s)` — zero, without a look at
+    /// its lanes, when the segment min exceeds the bound. With `c`
+    /// candidates in all, one `r = rng.next_below(c)` picks the `r`-th in
+    /// index order; with none, nothing is drawn and `None` comes back.
+    /// That is exactly the protocol of the full-scan references in
+    /// `dabs_search::reference`, so choices and RNG streams match them
+    /// bit for bit.
     pub fn select_le<R: Rng64 + ?Sized>(
         &mut self,
         bound: i64,
         rng: &mut R,
-        allowed: impl Fn(usize) -> bool,
+        allowed: impl Fn(usize) -> u64,
     ) -> Option<usize> {
-        self.select_le_by(|mn| mn <= bound, |d| d <= bound, rng, allowed)
+        self.refresh_min();
+        let mut count = 0u64;
+        for (s, word) in self.cand.iter_mut().enumerate() {
+            *word = if self.segs.min_of(s) > bound {
+                0
+            } else {
+                let (lo, hi) = self.segs.bounds(s);
+                segments::le_mask(&self.delta[lo..hi], bound) & allowed(s)
+            };
+            count += u64::from(word.count_ones());
+        }
+        if count == 0 {
+            return None;
+        }
+        let mut r = rng.next_below(count);
+        for (s, &word) in self.cand.iter().enumerate() {
+            let c = u64::from(word.count_ones());
+            if r < c {
+                return Some((s << SEG_SHIFT) + nth_set_bit(word, r as u32));
+            }
+            r -= c;
+        }
+        unreachable!("r < count = total candidate bits")
     }
 
     /// [`IncrementalState::select_le`] against a floating-point threshold
     /// (MaxMin's `d ~ Uniform[minΔ, D(t)]`), with the candidate test
-    /// `(Δ_k as f64) ≤ bound` evaluated exactly as the scan did.
+    /// `(Δ_k as f64) ≤ bound` evaluated exactly as the scan does.
     pub fn select_le_f64<R: Rng64 + ?Sized>(
         &mut self,
         bound: f64,
         rng: &mut R,
-        allowed: impl Fn(usize) -> bool,
+        allowed: impl Fn(usize) -> u64,
     ) -> Option<usize> {
-        // `(d as f64) ≤ bound ⟺ d ≤ ⌊bound⌋` in exact arithmetic, and the
-        // i64→f64 rounding error (≤ |d|·2⁻⁵³) cannot flip the comparison
-        // while |bound| < 2⁵²: any `d` on the wrong side of ⌊bound⌋ is
-        // separated from it by ≥ 2⁵² − 2⁵² ≫ the error once |d| leaves the
-        // exactly-representable range. Integer compares drop a per-lane
-        // int→float conversion from the hot loop.
-        const EXACT: f64 = (1u64 << 52) as f64;
-        if bound.abs() < EXACT {
-            return self.select_le(bound.floor() as i64, rng, allowed);
-        }
-        self.select_le_by(
-            |mn| (mn as f64) <= bound,
-            |d| (d as f64) <= bound,
-            rng,
-            allowed,
-        )
+        let bound = f64_bound_as_i64(bound)?;
+        self.select_le(bound, rng, allowed)
     }
 
-    fn select_le_by<R: Rng64 + ?Sized>(
+    /// RandomMin's selection: make every bit a candidate independently with
+    /// probability `p` and return the allowed candidate of least gain
+    /// (ties to the lowest index), or `None` when no allowed bit was drawn.
+    /// `allowed(s)` is the allowed-bit word of segment `s`, as in
+    /// [`IncrementalState::select_le`].
+    ///
+    /// Segments are walked in index order against a running best. A
+    /// segment whose aggregate min is not below the running best holds no
+    /// bit that could win, so its coins are never tossed; every other
+    /// segment tosses all 64 at once with one bit-sliced mask
+    /// ([`Rng64::next_bernoulli_mask`]), and the walk stops once the best
+    /// equals the global min. Leaving out coins that cannot change the
+    /// result keeps its law exactly that of the full independent sample —
+    /// `P(k) = p·(1−p)^#{allowed j : (Δ_j, j) < (Δ_k, k)}` — while the RNG
+    /// stream has no per-bit scan to match.
+    pub fn sampled_argmin<R: Rng64 + ?Sized>(
         &mut self,
-        seg_may_hold: impl Fn(i64) -> bool,
-        candidate: impl Fn(i64) -> bool,
+        p: f64,
         rng: &mut R,
-        allowed: impl Fn(usize) -> bool,
+        allowed: impl Fn(usize) -> u64,
     ) -> Option<usize> {
         self.refresh_min();
-        let mut chosen = None;
-        let mut count = 0u64;
-        for s in 0..self.segs.segments() {
-            if !seg_may_hold(self.segs.min_of(s)) {
+        let segs = self.segs.segments();
+        let global = (0..segs).map(|s| self.segs.min_of(s)).min()?;
+        let mut arg = None;
+        let mut min_d = i64::MAX;
+        for s in 0..segs {
+            if self.segs.min_of(s) >= min_d {
                 continue;
             }
             let (lo, hi) = self.segs.bounds(s);
-            for k in lo..hi {
-                if candidate(self.delta[k]) && allowed(k) {
-                    count += 1;
-                    if rng.next_below(count) == 0 {
-                        chosen = Some(k);
-                    }
+            let mut drawn =
+                rng.next_bernoulli_mask(p) & allowed(s) & (u64::MAX >> (SEG_WIDTH - (hi - lo)));
+            while drawn != 0 {
+                let k = lo + drawn.trailing_zeros() as usize;
+                drawn &= drawn - 1;
+                let d = self.delta[k];
+                if d < min_d {
+                    min_d = d;
+                    arg = Some(k);
                 }
             }
+            if min_d == global {
+                break;
+            }
         }
-        chosen
+        arg
     }
 
     /// Argmin over the cyclic window `[start, start + width)` (mod `n`),
@@ -445,6 +489,43 @@ impl<'m, K: QuboKernel> IncrementalState<'m, K> {
         self.refresh();
         self.segs.assert_matches(&self.delta);
     }
+}
+
+/// Index of the `r`-th (0-based) set bit of `word`; `r < word.count_ones()`.
+#[inline]
+fn nth_set_bit(mut word: u64, r: u32) -> usize {
+    debug_assert!(r < word.count_ones());
+    for _ in 0..r {
+        word &= word - 1;
+    }
+    word.trailing_zeros() as usize
+}
+
+/// The largest `d` with `(d as f64) ≤ bound`, or `None` when no `i64`
+/// qualifies (`bound` NaN or below −2⁶³). Since `d ↦ d as f64` is
+/// monotone, `(d as f64) ≤ bound ⟺ d ≤` this value, so a float threshold
+/// becomes an integer one with the same candidate set.
+fn f64_bound_as_i64(bound: f64) -> Option<i64> {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if bound.is_nan() || bound < -TWO_63 {
+        return None;
+    }
+    if bound >= TWO_63 {
+        return Some(i64::MAX);
+    }
+    // ⌊bound⌋ is an i64 here and qualifies. Below 2⁵² every integer near it
+    // is exact, so it is the answer; above, integers up to half an ulp
+    // (≤ 2¹⁰) past it can still round down to ≤ bound — find the last one.
+    let mut t = bound.floor() as i64;
+    if bound.abs() >= TWO_52 {
+        for step in (0..=10).rev().map(|e| 1i64 << e) {
+            if t.checked_add(step).is_some_and(|c| c as f64 <= bound) {
+                t += step;
+            }
+        }
+    }
+    Some(t)
 }
 
 /// Tracks the best (lowest-energy) solution observed during a search,
@@ -625,6 +706,183 @@ mod tests {
         let (lo, hi) = st.min_max_delta();
         assert_eq!(lo, d);
         assert_eq!(hi, *st.deltas().iter().max().unwrap());
+    }
+
+    /// Upper `z = 4.5` (tail ≈ 3·10⁻⁶) chi-square quantile with `df`
+    /// degrees of freedom, by the Wilson–Hilferty cube approximation.
+    fn chi2_bound(df: usize) -> f64 {
+        let df = df.max(1) as f64;
+        let c = 2.0 / (9.0 * df);
+        df * (1.0 - c + 4.5 * c.sqrt()).powi(3)
+    }
+
+    /// Pearson chi-square of `observed` outcome counts over `trials` draws
+    /// against the outcome probabilities `law`, under [`chi2_bound`].
+    /// Outcomes expected fewer than 5 times share one pooled bin;
+    /// impossible ones must never occur.
+    fn assert_law(observed: &[u64], law: impl Iterator<Item = f64>, trials: u32, what: &str) {
+        let (mut stat, mut bins) = (0.0, 0usize);
+        let (mut pool_obs, mut pool_exp) = (0.0, 0.0);
+        for (&o, q) in observed.iter().zip(law) {
+            let (o, e) = (o as f64, q * trials as f64);
+            if q == 0.0 {
+                assert_eq!(o, 0.0, "{what}: outcome of probability 0 drawn");
+            } else if e < 5.0 {
+                pool_obs += o;
+                pool_exp += e;
+            } else {
+                stat += (o - e).powi(2) / e;
+                bins += 1;
+            }
+        }
+        if pool_exp > 0.0 {
+            stat += (pool_obs - pool_exp).powi(2) / pool_exp;
+            bins += 1;
+        }
+        let bound = chi2_bound(bins - 1);
+        assert!(
+            stat <= bound,
+            "{what}: chi-square {stat:.1} over {bins} bins exceeds {bound:.1}"
+        );
+    }
+
+    /// Tabu bits of the choice-law state: among them the lowest holder of
+    /// the global min and one bit of the two-bit tail.
+    const TABU: [usize; 3] = [0, 77, 129];
+
+    fn allowed(k: usize) -> bool {
+        !TABU.contains(&k)
+    }
+
+    /// Allowed-bit word of segment `s`: every lane but the [`TABU`] bits.
+    fn allowed_word(s: usize) -> u64 {
+        TABU.iter()
+            .filter(|&&k| k >> SEG_SHIFT == s)
+            .fold(u64::MAX, |w, &k| w & !(1 << (k & 63)))
+    }
+
+    /// The fixed choice-law model: n = 130 (two full segments and a
+    /// two-bit tail), Δ_k = W_kk = `base` + one of 11 offsets in −5..=5,
+    /// each offset shared across segments.
+    fn tie_model(base: i64) -> QuboModel {
+        let n = 130;
+        let mut b = QuboBuilder::new(n);
+        for k in 0..n {
+            b.add_linear(k, base + (k * 37 % 11) as i64 - 5);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn sampled_argmin_matches_the_exact_choice_law() {
+        let q = tie_model(0);
+        let n = q.n();
+        let mut st = IncrementalState::new(&q);
+
+        // Allowed bits in (Δ, index) order: rank r wins with p·(1−p)^r,
+        // and no allowed bit is drawn with (1−p)^#allowed.
+        let mut order: Vec<usize> = (0..n).filter(|&k| allowed(k)).collect();
+        order.sort_by_key(|&k| (st.delta(k), k));
+        let m = order.len();
+        let mut rank = vec![usize::MAX; n];
+        for (r, &k) in order.iter().enumerate() {
+            rank[k] = r;
+        }
+
+        let trials = 100_000u32;
+        let mut rng = Xorshift64Star::new(31);
+        for p in [0.05, 0.3, 0.9, 1.0] {
+            // observed[r] per rank; observed[m] counts empty samples.
+            let mut observed = vec![0u64; m + 1];
+            for _ in 0..trials {
+                match st.sampled_argmin(p, &mut rng, allowed_word) {
+                    Some(k) => {
+                        assert!(allowed(k), "p={p}: tabu bit {k} chosen");
+                        observed[rank[k]] += 1;
+                    }
+                    None => observed[m] += 1,
+                }
+            }
+            let law = (0..=m).map(|r| {
+                if r < m {
+                    p * (1.0 - p).powi(r as i32)
+                } else {
+                    (1.0 - p).powi(m as i32)
+                }
+            });
+            assert_law(&observed, law, trials, &format!("p={p}"));
+        }
+    }
+
+    #[test]
+    fn select_le_picks_uniformly_among_the_allowed_candidates() {
+        // Count-and-pick must choose every allowed bit with Δ at or below
+        // the bound with probability 1/#candidates, across segments, ties
+        // and tabu bits — for integer bounds and for float bounds past
+        // 2⁵², where `(Δ as f64) ≤ bound` admits 2⁵³ + 1 (it rounds to 2⁵³)
+        // but not 2⁵³ − 1 against 2⁵³ − 2.
+        const TWO_53: i64 = 1 << 53;
+        let trials = 100_000u32;
+        let mut rng = Xorshift64Star::new(37);
+        let q = tie_model(0);
+        let mut st = IncrementalState::new(&q);
+        for bound in [-5i64, -2, 3] {
+            let cands: Vec<bool> = (0..q.n())
+                .map(|k| st.delta(k) <= bound && allowed(k))
+                .collect();
+            let mut observed = vec![0u64; q.n()];
+            for _ in 0..trials {
+                observed[st.select_le(bound, &mut rng, allowed_word).unwrap()] += 1;
+            }
+            let c = cands.iter().filter(|&&b| b).count() as f64;
+            let law = cands.iter().map(|&b| if b { 1.0 / c } else { 0.0 });
+            assert_law(&observed, law, trials, &format!("bound={bound}"));
+        }
+        assert_eq!(st.select_le(-6, &mut rng, allowed_word), None);
+
+        let q = tie_model(TWO_53);
+        let mut st = IncrementalState::new(&q);
+        for bound in [TWO_53 as f64, (TWO_53 - 2) as f64] {
+            let cands: Vec<bool> = (0..q.n())
+                .map(|k| st.delta(k) as f64 <= bound && allowed(k))
+                .collect();
+            assert_eq!(
+                cands
+                    .iter()
+                    .zip(0..)
+                    .any(|(&b, k)| b && st.delta(k) > bound as i64),
+                bound == TWO_53 as f64,
+                "bound={bound}: a candidate above ⌊bound⌋ exactly when rounding admits one"
+            );
+            let mut observed = vec![0u64; q.n()];
+            for _ in 0..trials {
+                observed[st.select_le_f64(bound, &mut rng, allowed_word).unwrap()] += 1;
+            }
+            let c = cands.iter().filter(|&&b| b).count() as f64;
+            let law = cands.iter().map(|&b| if b { 1.0 / c } else { 0.0 });
+            assert_law(&observed, law, trials, &format!("f64 bound={bound}"));
+        }
+    }
+
+    #[test]
+    fn float_bounds_map_to_the_integer_candidate_set() {
+        const TWO_53: i64 = 1 << 53;
+        assert_eq!(f64_bound_as_i64(2.5), Some(2));
+        assert_eq!(f64_bound_as_i64(-2.5), Some(-3));
+        assert_eq!(f64_bound_as_i64(TWO_53 as f64), Some(TWO_53 + 1));
+        assert_eq!(f64_bound_as_i64(-(TWO_53 as f64)), Some(-TWO_53));
+        assert_eq!(f64_bound_as_i64(f64::NAN), None);
+        assert_eq!(f64_bound_as_i64(-1e300), None);
+        assert_eq!(f64_bound_as_i64(i64::MIN as f64), Some(i64::MIN + 512));
+        assert_eq!(f64_bound_as_i64(1e300), Some(i64::MAX));
+        // the defining property, at scales where the f64 grid is coarse
+        for e in [52, 53, 60, 62] {
+            for off in [-3i64, 0, 5] {
+                let bound = ((1i64 << e) + off * (1 << (e - 52))) as f64;
+                let t = f64_bound_as_i64(bound).unwrap();
+                assert!(t as f64 <= bound && (t + 1) as f64 > bound, "2^{e}{off:+}");
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!   slower, see the dense kernel's note),
 //! * a **query** first re-reduces only the dirty segments with chunked,
 //!   branchless, autovectorizable loops ([`SegmentAggregates::refresh`]),
-//!   then answers from the `n / 64` aggregates.
+//!   then answers from the `n / 64` aggregates,
+//! * a **pick** turns the segments that may hold candidates into 64-lane
+//!   words with the lane helpers `le_mask` and `positive_min` (AVX-512
+//!   mask compares where the CPU has them).
 //!
 //! Strategies that never scan (simulated annealing's random proposals, the
 //! Straight walk) pay only the marking cost — a shift and an `or` per
@@ -320,6 +323,117 @@ impl SegmentAggregates {
     }
 }
 
+/// Lane mask of one segment's gains: bit `k` is set iff `chunk[k] ≤ bound`
+/// (`chunk` holds at most [`SEG_WIDTH`] gains; lanes past its end stay
+/// clear). Full segments take eight AVX-512 mask compares when the CPU has
+/// them; a partial tail segment, or a CPU without AVX-512, takes the
+/// portable loop, which gives the same mask.
+#[inline]
+pub(crate) fn le_mask(chunk: &[i64], bound: i64) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if let (Ok(seg), true) = (<&[i64; SEG_WIDTH]>::try_from(chunk), simd::available()) {
+        // SAFETY: `simd::available()` just confirmed AVX-512F at runtime.
+        #[allow(unsafe_code)]
+        return unsafe { simd::le_mask(seg, bound) };
+    }
+    le_mask_portable(chunk, bound)
+}
+
+/// Smallest strictly positive gain of one segment, or `i64::MAX` when none
+/// is positive — the masked min of the positive lanes. Dispatches like
+/// `le_mask`.
+#[inline]
+pub(crate) fn positive_min(chunk: &[i64]) -> i64 {
+    #[cfg(target_arch = "x86_64")]
+    if let (Ok(seg), true) = (<&[i64; SEG_WIDTH]>::try_from(chunk), simd::available()) {
+        // SAFETY: `simd::available()` just confirmed AVX-512F at runtime.
+        #[allow(unsafe_code)]
+        return unsafe { simd::positive_min(seg) };
+    }
+    positive_min_portable(chunk)
+}
+
+/// Portable body of [`le_mask`], and its behavioural reference.
+fn le_mask_portable(chunk: &[i64], bound: i64) -> u64 {
+    debug_assert!(chunk.len() <= SEG_WIDTH);
+    let mut m = 0u64;
+    for (k, &d) in chunk.iter().enumerate() {
+        m |= u64::from(d <= bound) << k;
+    }
+    m
+}
+
+/// Portable body of [`positive_min`], and its behavioural reference.
+fn positive_min_portable(chunk: &[i64]) -> i64 {
+    let mut mn = i64::MAX;
+    for &d in chunk {
+        mn = if d > 0 && d < mn { d } else { mn };
+    }
+    mn
+}
+
+/// Explicit AVX-512 bodies of the lane helpers, one 64-gain segment at a
+/// time: eight 8×i64 loads, each resolved by one mask compare.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod simd {
+    #[allow(clippy::wildcard_imports)]
+    use std::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    /// Runtime CPU check, resolved once: F has the 64-bit mask compares
+    /// and masked min.
+    pub(super) fn available() -> bool {
+        static AVAIL: OnceLock<bool> = OnceLock::new();
+        *AVAIL.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
+    }
+
+    /// Eight gains of `seg` starting at lane `c·8` (panics past lane 63).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load8(seg: &[i64; 64], c: usize) -> __m512i {
+        let lanes = &seg[c * 8..c * 8 + 8];
+        // SAFETY: `lanes` holds exactly eight i64, the extent of the
+        // unaligned 8×i64 load.
+        unsafe { _mm512_loadu_epi64(lanes.as_ptr()) }
+    }
+
+    /// AVX-512 body of [`super::le_mask`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F: callers check [`available`] first.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn le_mask(seg: &[i64; 64], bound: i64) -> u64 {
+        let b = _mm512_set1_epi64(bound);
+        // Shift-and-or from the top byte down: a serial chain keeps the
+        // eight mask bytes in scalar registers (an independent `<< (c·8)`
+        // per byte gets vectorized into a slow byte-insert sequence).
+        let mut m = 0u64;
+        for c in (0..8).rev() {
+            m = m << 8 | u64::from(_mm512_cmple_epi64_mask(load8(seg, c), b));
+        }
+        m
+    }
+
+    /// AVX-512 body of [`super::positive_min`]: a running min that only
+    /// the positive lanes (`vpcmpgtq` against zero) may lower.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F: callers check [`available`] first.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn positive_min(seg: &[i64; 64]) -> i64 {
+        let zero = _mm512_setzero_si512();
+        let mut acc = _mm512_set1_epi64(i64::MAX);
+        for c in 0..8 {
+            let v = load8(seg, c);
+            acc = _mm512_mask_min_epi64(acc, _mm512_cmpgt_epi64_mask(v, zero), acc, v);
+        }
+        _mm512_reduce_min_epi64(acc)
+    }
+}
+
 /// Min with its lowest attaining absolute index (the chunk starts at
 /// `base`) over a (non-empty) slice.
 ///
@@ -436,6 +550,46 @@ mod tests {
         );
         assert_eq!(reduce_min_argmin_max(5, &[i64::MIN, 0]), (i64::MIN, 5, 0));
         assert_eq!(reduce_min_argmin_max(10, &[3, -1, 7, -1]), (-1, 11, 7));
+    }
+
+    #[test]
+    fn lane_helpers_match_the_portable_path() {
+        // Word-boundary sizes: full segments take the AVX-512 bodies where
+        // the CPU has them, the partial tails always take the portable
+        // loop; the portable path is also run directly on every segment.
+        for n in [63usize, 64, 65, 129] {
+            let mut delta = random_delta(n, 40 + n as u64);
+            // extremes and zeros, so sign and bound edges are on the grid
+            delta[0] = i64::MIN;
+            delta[n / 2] = i64::MAX;
+            delta[n - 1] = 0;
+            let s = SegmentAggregates::all_dirty(n);
+            for seg in 0..s.segments() {
+                let (lo, hi) = s.bounds(seg);
+                let chunk = &delta[lo..hi];
+                for bound in [i64::MIN, -501, -7, 0, 1, 250, i64::MAX] {
+                    let m = le_mask_portable(chunk, bound);
+                    let naive = chunk
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &d)| d <= bound)
+                        .fold(0u64, |m, (k, _)| m | 1 << k);
+                    assert_eq!(m, naive, "n={n} seg={seg} bound={bound}: portable mask");
+                    assert_eq!(le_mask(chunk, bound), m, "n={n} seg={seg} bound={bound}");
+                }
+                let p = positive_min_portable(chunk);
+                let naive = chunk.iter().copied().filter(|&d| d > 0).min();
+                assert_eq!(
+                    p,
+                    naive.unwrap_or(i64::MAX),
+                    "n={n} seg={seg}: portable posmin"
+                );
+                assert_eq!(positive_min(chunk), p, "n={n} seg={seg}: posmin");
+            }
+        }
+        // no positive lane at all
+        assert_eq!(positive_min(&[0; SEG_WIDTH]), i64::MAX);
+        assert_eq!(positive_min_portable(&[-3; SEG_WIDTH]), i64::MAX);
     }
 
     #[test]

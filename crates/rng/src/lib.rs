@@ -85,6 +85,42 @@ pub trait Rng64 {
     fn next_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
+
+    /// 64 independent Bernoulli(`p`) draws packed as a bit mask (`p`
+    /// clamped to `[0, 1]`; NaN counts as 0).
+    ///
+    /// Lane `ℓ` fires iff its uniform binary fraction `U_ℓ = 0.b₁b₂…` is
+    /// below `p = 0.p₁p₂…`. The comparison is bit-sliced, most significant
+    /// digit first: the `k`-th `next_u64` supplies digit `b_k` of all 64
+    /// lanes at once, a lane is decided at its first digit that differs
+    /// from `p_k`, and the loop stops once every lane is decided or `p`'s
+    /// remaining digits are zero. Each digit decides half of the open
+    /// lanes, so a mask costs about `log₂ 64 + 1.3 ≈ 7.3` draws whatever
+    /// `p` is, and no floating-point math beyond the one scaling of `p`
+    /// (resolved to 2⁻⁶⁴).
+    #[inline]
+    fn next_bernoulli_mask(&mut self, p: f64) -> u64 {
+        if p.is_nan() || p <= 0.0 {
+            return 0;
+        }
+        if p >= 1.0 {
+            return u64::MAX;
+        }
+        // p·2⁶⁴: p as a 64-digit binary fraction (exact for p ≥ 2⁻¹¹).
+        let mut digits = (p * 18_446_744_073_709_551_616.0) as u64;
+        let mut fire = 0u64;
+        let mut open = u64::MAX;
+        while digits != 0 && open != 0 {
+            let b = self.next_u64();
+            // All ones where p's current digit is 1.
+            let pk = 0u64.wrapping_sub(digits >> 63);
+            // b_k < p_k decides "below"; a lane stays open only on b_k = p_k.
+            fire |= open & !b & pk;
+            open &= !(b ^ pk);
+            digits <<= 1;
+        }
+        fire
+    }
 }
 
 impl<R: Rng64 + ?Sized> Rng64 for &mut R {
@@ -214,6 +250,64 @@ mod tests {
             assert!(!rng.next_bool(0.0));
             assert!(rng.next_bool(1.1)); // clamp semantics: p >= 1 always true
         }
+    }
+
+    /// Counts `next_u64` calls of the wrapped generator.
+    struct Draws<R>(R, u64);
+
+    impl<R: Rng64> Rng64 for Draws<R> {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
+    }
+
+    #[test]
+    fn bernoulli_mask_lanes_fire_with_probability_p() {
+        let mut rng = Draws(Xorshift64Star::new(77), 0);
+        for _ in 0..100 {
+            assert_eq!(rng.next_bernoulli_mask(0.0), 0);
+            assert_eq!(rng.next_bernoulli_mask(f64::NAN), 0);
+            assert_eq!(rng.next_bernoulli_mask(1.0), u64::MAX);
+        }
+        assert_eq!(rng.1, 0, "p = 0 and p = 1 need no draws");
+        // p = 0.5 has a single nonzero digit: one draw decides every lane.
+        rng.next_bernoulli_mask(0.5);
+        assert_eq!(rng.1, 1);
+
+        // Per-lane frequency: lanes are independent Bernoulli(p), so each
+        // of the 64 lanes must fire at rate p (tolerance ≥ 5.5 σ).
+        let masks = 20_000u32;
+        for p in [0.5, 0.3, 0.9] {
+            let mut hits = [0u32; 64];
+            for _ in 0..masks {
+                let m = rng.next_bernoulli_mask(p);
+                for (lane, h) in hits.iter_mut().enumerate() {
+                    *h += ((m >> lane) & 1) as u32;
+                }
+            }
+            for (lane, &h) in hits.iter().enumerate() {
+                let f = h as f64 / masks as f64;
+                assert!((f - p).abs() < 0.02, "p={p} lane {lane}: rate {f}");
+            }
+        }
+
+        // A p below 2⁻¹¹: pooled over all lanes, the fire count must sit
+        // within 5 σ of its expectation, and a mask still costs ~7 draws.
+        let p = 1.5 / 4096.0;
+        let masks = 100_000u64;
+        rng.1 = 0;
+        let fired: u64 = (0..masks)
+            .map(|_| rng.next_bernoulli_mask(p).count_ones() as u64)
+            .sum();
+        let trials = (masks * 64) as f64;
+        let (mean, sd) = (trials * p, (trials * p * (1.0 - p)).sqrt());
+        assert!(
+            (fired as f64 - mean).abs() < 5.0 * sd,
+            "fired {fired}, expected {mean:.0} ± {sd:.0}"
+        );
+        let per_mask = rng.1 as f64 / masks as f64;
+        assert!((6.0..9.0).contains(&per_mask), "{per_mask} draws per mask");
     }
 
     #[test]

@@ -32,12 +32,24 @@
 //! algorithm until the flip budget `b·n` is spent.
 //!
 //! Candidate selection inside every strategy runs on the
-//! `dabs_model` segment-aggregate primitives (`min_delta`,
-//! `min_max_argmin`, `positive_min_delta`, `select_le`, `window_argmin`)
-//! instead of re-scanning the Δ array — tie-break and reservoir-sampling
-//! semantics live in exactly one place. The pre-segment full-scan code is
-//! preserved verbatim in [`mod@reference`] for the parity suite and the
-//! `scan_sweep` benchmark.
+//! `dabs_model` segment-aggregate primitives instead of re-scanning the Δ
+//! array, so tie-break and sampling semantics live in exactly one place:
+//!
+//! * `min_delta`, `min_max_argmin` — argmin and extrema from the segment
+//!   aggregates (Greedy, MaxMin's schedule, every Step-1 observation);
+//! * `positive_min_delta` — PositiveMin's threshold, one masked min per
+//!   mixed-sign segment;
+//! * `select_le` / `select_le_f64` — MaxMin's and PositiveMin's uniform
+//!   pick: one 64-lane candidate word per segment (`Δ ≤ bound` mask and
+//!   [`TabuList::allowed_word`]), one RNG draw per pick;
+//! * `sampled_argmin` — RandomMin's choice, one bit-sliced Bernoulli mask
+//!   per contending segment, filtered by the same allowed words;
+//! * `window_argmin` — CyclicMin's cyclic window, per-bit tabu test.
+//!
+//! The full-scan code, on the same count-then-draw protocol, lives in
+//! [`mod@reference`] for the parity suite and the `scan_sweep` benchmark;
+//! RandomMin, whose mask sampler has no scan twin, is pinned by the exact
+//! choice-law test of `sampled_argmin` instead.
 //!
 //! ```
 //! use dabs_model::{IncrementalState, QuboBuilder, Solution};

@@ -37,11 +37,11 @@ pub fn max_min<K: QuboKernel, R: Rng64 + ?Sized>(
         let span = upper - min_d as f64;
         let threshold = min_d as f64 + rng.next_f64() * span.max(0.0);
 
-        // Reservoir-sample uniformly among non-tabu bits with
-        // Δ_i ≤ threshold, skipping segments with no candidate. Since
-        // threshold ≥ minΔ a candidate exists unless tabu excludes them
-        // all; fall back to the global argmin then.
-        let chosen = state.select_le_f64(threshold, rng, |k| !tabu.is_tabu(k));
+        // Pick uniformly among non-tabu bits with Δ_i ≤ threshold: one
+        // candidate word per segment, one RNG draw. Since threshold ≥ minΔ
+        // a candidate exists unless tabu excludes them all; fall back to
+        // the global argmin then.
+        let chosen = state.select_le_f64(threshold, rng, |s| tabu.allowed_word(s));
         let bit = chosen.unwrap_or(argmin);
         state.flip(bit);
         tabu.record(bit);
@@ -100,16 +100,9 @@ mod tests {
             let u = crate::cubic((t_total - t) as f64 / t_total as f64);
             let upper = (1.0 - u) * min_d as f64 + u * max_d as f64;
             let threshold = min_d as f64 + rng.next_f64() * (upper - min_d as f64).max(0.0);
-            let mut chosen = usize::MAX;
-            let mut count = 0u64;
-            for (k, &d) in st.deltas().iter().enumerate() {
-                if (d as f64) <= threshold && !tabu.is_tabu(k) {
-                    count += 1;
-                    if rng.next_below(count) == 0 {
-                        chosen = k;
-                    }
-                }
-            }
+            let chosen = st
+                .select_le_f64(threshold, &mut rng, |s| tabu.allowed_word(s))
+                .unwrap();
             let spread = (max_d - min_d).max(1) as f64;
             let gap = (st.delta(chosen) - min_d) as f64 / spread;
             if t <= t_total / 5 {

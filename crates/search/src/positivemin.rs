@@ -22,15 +22,15 @@ pub fn positive_min<K: QuboKernel, R: Rng64 + ?Sized>(
     for _ in 0..total_flips {
         // posmin = smallest positive gain, plus the global argmin for the
         // Step-1 observation — both answered from the segment aggregates
-        // (mixed-sign segments are the only ones scanned element-wise).
+        // (a mixed-sign segment takes one masked min of its lanes).
         let (argmin, _) = state.min_delta();
         let posmin = state.positive_min_delta();
         best.observe_neighbor(state, argmin);
         // If no gain is positive, every bit is a candidate (posmin = +∞).
 
-        // Reservoir-sample among non-tabu bits with Δ_i ≤ posmin, skipping
-        // segments whose min exceeds posmin.
-        let chosen = state.select_le(posmin, rng, |k| !tabu.is_tabu(k));
+        // Pick uniformly among non-tabu bits with Δ_i ≤ posmin: one
+        // candidate word per segment, one RNG draw.
+        let chosen = state.select_le(posmin, rng, |s| tabu.allowed_word(s));
         let bit = chosen.unwrap_or(argmin);
         state.flip(bit);
         tabu.record(bit);

@@ -7,8 +7,13 @@
 //! (converging to greedy) — the same annealing shape as MaxMin/CyclicMin
 //! with a different randomisation.
 //!
-//! Candidates are drawn with geometric gap-skipping, so an iteration costs
-//! `O(n·p(t))` expected rather than `O(n)` Bernoulli draws.
+//! Candidates are drawn on the segment layer
+//! ([`IncrementalState::sampled_argmin`]): a segment's 64 coins are tossed
+//! with one bit-sliced Bernoulli mask (≈ 7 raw draws, no logarithm), and
+//! only in segments whose aggregate min can still beat the running best.
+//! An iteration therefore costs `O(n/64)` plus a mask per contending
+//! segment. There is no scan twin in `dabs_search::reference`: the exact
+//! choice law is pinned by the sampler's distribution test.
 
 use crate::{cubic, TabuList};
 use dabs_model::{BestTracker, IncrementalState, QuboKernel};
@@ -28,50 +33,21 @@ pub fn random_min<K: QuboKernel, R: Rng64 + ?Sized>(
     for t in 1..=t_max {
         let p = cubic(t as f64 / t_max as f64).max(floor_p).min(1.0);
 
-        // Geometric skipping over 0..n: next candidate index jumps by
-        // 1 + floor(log(U)/log(1-p)).
-        let mut arg = usize::MAX;
-        let mut min_d = i64::MAX;
-        let mut i = skip(rng, p);
-        while i < n {
-            let d = state.delta(i);
-            if d < min_d && !tabu.is_tabu(i) {
-                min_d = d;
-                arg = i;
+        // Flip the sampled argmin. With no usable candidate (empty sample
+        // or all tabu), flip one uniformly random non-tabu bit instead so
+        // the flip count stays exact.
+        let bit = match state.sampled_argmin(p, rng, |s| tabu.allowed_word(s)) {
+            Some(k) => {
+                best.observe_neighbor(state, k);
+                k
             }
-            i += 1 + skip(rng, p);
-        }
-        // No usable candidate (empty sample or all tabu): retry with a
-        // single uniformly random non-tabu bit so the flip count stays
-        // exact.
-        let bit = if arg == usize::MAX {
-            fallback_bit(state, tabu, rng)
-        } else {
-            arg
+            None => fallback_bit(state, tabu, rng),
         };
-        if arg != usize::MAX {
-            best.observe_neighbor(state, arg);
-        }
         state.flip(bit);
         tabu.record(bit);
         best.observe(state);
     }
     t_max
-}
-
-/// Geometric(1-p) gap: number of indices skipped before the next candidate.
-#[inline]
-fn skip<R: Rng64 + ?Sized>(rng: &mut R, p: f64) -> usize {
-    if p >= 1.0 {
-        return 0;
-    }
-    let u = rng.next_f64().max(f64::MIN_POSITIVE);
-    let g = (u.ln() / (1.0 - p).ln()).floor();
-    if g >= usize::MAX as f64 {
-        usize::MAX
-    } else {
-        g as usize
-    }
 }
 
 /// Uniformly random bit, preferring non-tabu ones.
@@ -119,27 +95,6 @@ mod tests {
         let mut rng = Xorshift64Star::new(64);
         random_min(&mut st, &mut best, &mut tabu, &mut rng, 6_000);
         assert_eq!(best.energy(), opt);
-    }
-
-    #[test]
-    fn geometric_skip_mean_matches_probability() {
-        // E[gap] = (1-p)/p; sample mean over many draws should be close.
-        let mut rng = Xorshift64Star::new(65);
-        let p = 0.2;
-        let trials = 50_000;
-        let total: usize = (0..trials).map(|_| skip(&mut rng, p)).sum();
-        let mean = total as f64 / trials as f64;
-        let expect = (1.0 - p) / p;
-        assert!(
-            (mean - expect).abs() < 0.15,
-            "mean gap {mean}, expected {expect}"
-        );
-    }
-
-    #[test]
-    fn skip_handles_p_one() {
-        let mut rng = Xorshift64Star::new(66);
-        assert_eq!(skip(&mut rng, 1.0), 0);
     }
 
     #[test]

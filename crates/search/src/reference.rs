@@ -1,9 +1,9 @@
-//! The pre-segment **full-scan** selection path, kept verbatim as a
+//! The pre-segment **full-scan** selection path, kept as a
 //! reference implementation.
 //!
 //! Before the segment-aggregate layer existed, every strategy re-scanned
 //! the whole Δ array (often twice) to pick its next bit. These functions
-//! preserve that code exactly, for two jobs:
+//! keep that element-by-element code, for two jobs:
 //!
 //! * **parity** — `tests/solver_parity.rs` proves the segment-accelerated
 //!   strategies produce bit-identical trajectories, best solutions, and
@@ -11,6 +11,11 @@
 //! * **measurement** — the bench suite's `scan_sweep` entry reports the
 //!   strategy-level flips/s of the segment path *relative to this one*, a
 //!   machine-independent speedup that CI gates (`docs/BENCHMARKS.md`).
+//!
+//! The uniform picks of MaxMin and PositiveMin follow the production
+//! protocol — count the candidates, draw once, walk to the drawn rank —
+//! with per-element scans instead of segment words, so the RNG streams
+//! match draw for draw.
 //!
 //! Nothing in the production solvers calls into this module.
 
@@ -52,8 +57,28 @@ pub fn greedy_scan<K: QuboKernel>(
     used
 }
 
-/// [`crate::max_min`] with two full Δ scans per flip (min/max/argmin pass,
-/// then the reservoir pass).
+/// Uniform pick among the non-tabu bits whose gain passes `candidate`,
+/// element by element: one full scan counts them, one `next_below(count)`
+/// draw picks a rank, and a second scan walks to that candidate in index
+/// order. No candidate: no draw, `None`.
+fn pick_uniform_scan<K: QuboKernel, R: Rng64 + ?Sized>(
+    state: &IncrementalState<'_, K>,
+    tabu: &TabuList,
+    rng: &mut R,
+    candidate: impl Fn(i64) -> bool,
+) -> Option<usize> {
+    let is_candidate = |&(k, &d): &(usize, &i64)| candidate(d) && !tabu.is_tabu(k);
+    let deltas = state.deltas().iter().enumerate();
+    let count = deltas.clone().filter(is_candidate).count();
+    if count == 0 {
+        return None;
+    }
+    let r = rng.next_below(count as u64) as usize;
+    deltas.filter(is_candidate).nth(r).map(|(k, _)| k)
+}
+
+/// [`crate::max_min`] with three full Δ scans per flip (min/max/argmin
+/// pass, then the count and pick passes of the uniform choice).
 pub fn max_min_scan<K: QuboKernel, R: Rng64 + ?Sized>(
     state: &mut IncrementalState<'_, K>,
     best: &mut BestTracker,
@@ -83,17 +108,8 @@ pub fn max_min_scan<K: QuboKernel, R: Rng64 + ?Sized>(
         let span = upper - min_d as f64;
         let threshold = min_d as f64 + rng.next_f64() * span.max(0.0);
 
-        let mut chosen = usize::MAX;
-        let mut count = 0u64;
-        for (k, &d) in state.deltas().iter().enumerate() {
-            if (d as f64) <= threshold && !tabu.is_tabu(k) {
-                count += 1;
-                if rng.next_below(count) == 0 {
-                    chosen = k;
-                }
-            }
-        }
-        let bit = if chosen == usize::MAX { argmin } else { chosen };
+        let bit =
+            pick_uniform_scan(state, tabu, rng, |d| (d as f64) <= threshold).unwrap_or(argmin);
         state.flip(bit);
         tabu.record(bit);
         best.observe(state);
@@ -101,7 +117,7 @@ pub fn max_min_scan<K: QuboKernel, R: Rng64 + ?Sized>(
     t_max
 }
 
-/// [`crate::positive_min`] with two full Δ scans per flip.
+/// [`crate::positive_min`] with three full Δ scans per flip.
 pub fn positive_min_scan<K: QuboKernel, R: Rng64 + ?Sized>(
     state: &mut IncrementalState<'_, K>,
     best: &mut BestTracker,
@@ -125,17 +141,7 @@ pub fn positive_min_scan<K: QuboKernel, R: Rng64 + ?Sized>(
         }
         best.observe_neighbor(state, argmin);
 
-        let mut chosen = usize::MAX;
-        let mut count = 0u64;
-        for (k, &d) in state.deltas().iter().enumerate() {
-            if d <= posmin && !tabu.is_tabu(k) {
-                count += 1;
-                if rng.next_below(count) == 0 {
-                    chosen = k;
-                }
-            }
-        }
-        let bit = if chosen == usize::MAX { argmin } else { chosen };
+        let bit = pick_uniform_scan(state, tabu, rng, |d| d <= posmin).unwrap_or(argmin);
         state.flip(bit);
         tabu.record(bit);
         best.observe(state);

@@ -5,7 +5,11 @@
 //! legs of one batch so a Greedy→MaxMin hand-off cannot immediately undo the
 //! previous leg's moves.
 
-/// Per-bit recency list with O(1) `is_tabu` / `record`.
+use std::collections::VecDeque;
+
+/// Per-bit recency list with O(1) `is_tabu` / `record`, plus the same
+/// information as one tabu word per 64-bit segment for the word-mask
+/// selections (`IncrementalState::select_le` and friends).
 #[derive(Debug, Clone)]
 pub struct TabuList {
     /// Logical clock; one tick per recorded flip.
@@ -14,6 +18,12 @@ pub struct TabuList {
     /// (the clock starts at `tenure + 1` so "never" is never tabu).
     last_flip: Vec<u64>,
     tenure: u64,
+    /// Bit `i` set iff `is_tabu(i)`.
+    tabu: Vec<u64>,
+    /// The last `tenure` records, oldest first: the record `tenure` flips
+    /// old leaves at each `record`, freeing its bit unless that bit was
+    /// recorded again since.
+    recent: VecDeque<u32>,
 }
 
 impl TabuList {
@@ -24,6 +34,8 @@ impl TabuList {
             clock: tenure + 1,
             last_flip: vec![0; n],
             tenure,
+            tabu: vec![0; n.div_ceil(64)],
+            recent: VecDeque::new(),
         }
     }
 
@@ -40,17 +52,39 @@ impl TabuList {
         self.tenure > 0 && self.clock - self.last_flip[i] < self.tenure
     }
 
+    /// Allowed-bit word of 64-bit segment `seg`: bit `ℓ` is set iff bit
+    /// `64·seg + ℓ` is not tabu (lanes past `n` are set too; the
+    /// selections mask them off). The word argument of
+    /// `IncrementalState::select_le` and `sampled_argmin`.
+    #[inline]
+    pub fn allowed_word(&self, seg: usize) -> u64 {
+        !self.tabu[seg]
+    }
+
     /// Record that bit `i` was just flipped.
     #[inline]
     pub fn record(&mut self, i: usize) {
         self.clock += 1;
         self.last_flip[i] = self.clock;
+        if self.tenure == 0 {
+            return;
+        }
+        self.tabu[i >> 6] |= 1 << (i & 63);
+        self.recent.push_back(i as u32);
+        if self.recent.len() as u64 > self.tenure {
+            let old = self.recent.pop_front().expect("non-empty ring") as usize;
+            if self.last_flip[old] == self.clock - self.tenure {
+                self.tabu[old >> 6] &= !(1 << (old & 63));
+            }
+        }
     }
 
     /// Forget all history (used between batches).
     pub fn clear(&mut self) {
         self.clock = self.tenure + 1;
         self.last_flip.fill(0);
+        self.tabu.fill(0);
+        self.recent.clear();
     }
 }
 
@@ -95,6 +129,36 @@ mod tests {
         t.clear();
         for i in 0..4 {
             assert!(!t.is_tabu(i));
+        }
+    }
+
+    #[test]
+    fn tabu_words_equal_is_tabu_under_random_records_and_clears() {
+        use dabs_rng::{Rng64, Xorshift64Star};
+        let mut rng = Xorshift64Star::new(91);
+        for n in [5usize, 64, 130] {
+            for tenure in [0u64, 1, 8, n as u64 + 3] {
+                let mut t = TabuList::new(n, tenure);
+                for step in 0..3_000 {
+                    if rng.next_below(200) == 0 {
+                        t.clear();
+                    } else {
+                        t.record(rng.next_index(n));
+                    }
+                    for seg in 0..n.div_ceil(64) {
+                        let lanes = (n - seg * 64).min(64);
+                        let word = (0..lanes)
+                            .filter(|&l| !t.is_tabu(seg * 64 + l))
+                            .fold(0u64, |w, l| w | 1 << l);
+                        let live = u64::MAX >> (64 - lanes);
+                        assert_eq!(
+                            t.allowed_word(seg) & live,
+                            word,
+                            "n={n} tenure={tenure} step={step} seg={seg}"
+                        );
+                    }
+                }
+            }
         }
     }
 

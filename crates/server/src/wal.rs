@@ -32,7 +32,7 @@ use serde::json::Json;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -182,8 +182,21 @@ struct WalInner {
     /// the next successful sync. While set, the flusher retries the sync
     /// on a short timer so durability heals without waiting for traffic.
     degraded: AtomicBool,
+    /// Failed writes and syncs of this log (the process-wide
+    /// `wal.errors` gauge sums every log in the process).
+    errors: AtomicU64,
     /// Fault-injection plan (`None` in production: one branch).
     chaos: Option<Arc<FaultPlan>>,
+}
+
+impl WalInner {
+    /// Declare a failed write or sync: tick the error counters and enter
+    /// degraded mode.
+    fn fail(&self) {
+        net_obs().wal_errors.inc();
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.degraded.store(true, Ordering::Relaxed);
+    }
 }
 
 /// Append-only handle to the durable job log. Cloning is cheap (shared
@@ -290,6 +303,7 @@ impl Wal {
             }),
             cv: Condvar::new(),
             degraded: AtomicBool::new(false),
+            errors: AtomicU64::new(0),
             chaos,
         });
         let flusher = {
@@ -395,8 +409,7 @@ impl Wal {
             let failed = chaos_hit(&self.inner.chaos, FaultSite::WalWrite)
                 || f.write_all(line.as_bytes()).is_err();
             if failed {
-                net_obs().wal_errors.inc();
-                self.inner.degraded.store(true, Ordering::Relaxed);
+                self.inner.fail();
                 // Wake the flusher so its retry timer starts now.
                 self.inner.cv.notify_all();
                 return;
@@ -412,6 +425,11 @@ impl Wal {
     /// failed and no sync has succeeded since).
     pub fn is_degraded(&self) -> bool {
         self.inner.degraded.load(Ordering::Relaxed)
+    }
+
+    /// Failed writes and syncs of this log since it was opened.
+    pub fn errors(&self) -> u64 {
+        self.inner.errors.load(Ordering::Relaxed)
     }
 
     /// Block until every record appended so far is durably synced.
@@ -483,8 +501,7 @@ fn flusher_loop(inner: &WalInner, file: &File) {
             net_obs().wal_syncs.inc();
             inner.degraded.store(false, Ordering::Relaxed);
         } else {
-            net_obs().wal_errors.inc();
-            inner.degraded.store(true, Ordering::Relaxed);
+            inner.fail();
         }
         st = inner.state.lock().expect("wal state lock");
         st.synced = st.synced.max(target);
@@ -668,7 +685,6 @@ mod tests {
     fn injected_fsync_errors_surface_then_heal() {
         let dir = tmp_dir("fsync-err");
         let plan = Arc::new(FaultPlan::parse("seed=1,wal_fsync=1x2").unwrap());
-        let before = net_obs().wal_errors.get();
         {
             let (wal, _) = Wal::open_with_chaos(&dir, Some(Arc::clone(&plan))).unwrap();
             wal.append(&WalRecord::Admit {
@@ -681,7 +697,9 @@ mod tests {
             assert!(wal.is_degraded(), "failed fsync must flip degraded");
             wait_healed(&wal);
             assert_eq!(plan.injected(FaultSite::WalFsync), 2);
-            assert_eq!(net_obs().wal_errors.get() - before, 2);
+            // Exact per-log count: the process-wide gauge also counts
+            // logs of tests running in parallel in this binary.
+            assert_eq!(wal.errors(), 2);
             // Healed log keeps working.
             wal.append(&WalRecord::Terminal {
                 job: 1,

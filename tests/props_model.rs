@@ -232,15 +232,15 @@ proptest! {
     }
 
     #[test]
-    fn select_le_is_stream_identical_to_the_naive_reservoir(
+    fn select_le_is_stream_identical_to_the_naive_count_and_pick(
         n in 8usize..140,
         seed in any::<u64>(),
         steps in 0usize..60,
         bound_off in -4i64..10,
     ) {
-        // `select_le` must pick the SAME bit as the naive full-scan
-        // reservoir AND consume the SAME number of RNG draws (skipped
-        // segments hold no candidates, so no draw is elided) — the
+        // `select_le` must pick the SAME bit as the naive full scan —
+        // count the candidates, draw one rank, walk to it — AND consume
+        // the SAME RNG draws (none when there is no candidate): the
         // property that keeps whole trajectories bit-identical.
         use dabs::rng::Rng64;
         let q = density_model(n, 0.3, seed, KernelChoice::Csr);
@@ -253,37 +253,28 @@ proptest! {
         let (_, min_d) = st.min_delta();
         let bound = min_d.saturating_add(bound_off);
         let blocked = |k: usize| !k.is_multiple_of(5); // arbitrary tabu-ish filter
+        let blocked_word = |s: usize| {
+            (0..64).filter(|&l| blocked(s * 64 + l)).fold(0u64, |w, l| w | 1 << l)
+        };
+        let deltas = st.deltas().to_vec();
+        let naive_pick = |rng: &mut dabs::rng::Xorshift64Star, cand: &dyn Fn(i64) -> bool| {
+            let picks = || deltas.iter().enumerate().filter(|&(k, &d)| cand(d) && blocked(k));
+            let count = picks().count() as u64;
+            (count > 0).then(|| picks().nth(rng.next_below(count) as usize).unwrap().0)
+        };
         // i64 bound
         let mut rng_a = dabs::rng::Xorshift64Star::new(seed ^ 1);
         let mut rng_b = dabs::rng::Xorshift64Star::new(seed ^ 1);
-        let fast = st.select_le(bound, &mut rng_a, blocked);
-        let mut naive = None;
-        let mut count = 0u64;
-        for (k, &d) in st.deltas().iter().enumerate() {
-            if d <= bound && blocked(k) {
-                count += 1;
-                if rng_b.next_below(count) == 0 {
-                    naive = Some(k);
-                }
-            }
-        }
+        let naive = naive_pick(&mut rng_b, &|d| d <= bound);
+        let fast = st.select_le(bound, &mut rng_a, blocked_word);
         prop_assert_eq!(fast, naive);
         prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "i64 stream diverged");
         // f64 bound (MaxMin's threshold shape)
         let fbound = bound as f64 + 0.25;
         let mut rng_a = dabs::rng::Xorshift64Star::new(seed ^ 2);
         let mut rng_b = dabs::rng::Xorshift64Star::new(seed ^ 2);
-        let fast = st.select_le_f64(fbound, &mut rng_a, blocked);
-        let mut naive = None;
-        let mut count = 0u64;
-        for (k, &d) in st.deltas().iter().enumerate() {
-            if (d as f64) <= fbound && blocked(k) {
-                count += 1;
-                if rng_b.next_below(count) == 0 {
-                    naive = Some(k);
-                }
-            }
-        }
+        let naive = naive_pick(&mut rng_b, &|d| (d as f64) <= fbound);
+        let fast = st.select_le_f64(fbound, &mut rng_a, blocked_word);
         prop_assert_eq!(fast, naive);
         prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "f64 stream diverged");
     }

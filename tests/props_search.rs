@@ -2,7 +2,7 @@
 //! under arbitrary flip programs, batch-search invariants, pool invariants.
 
 use dabs::core::{GeneticOp, PoolEntry, SolutionPool};
-use dabs::model::{BestTracker, IncrementalState, QuboBuilder, QuboModel, Solution};
+use dabs::model::{BestTracker, IncrementalState, KernelChoice, QuboBuilder, QuboModel, Solution};
 use dabs::search::{BatchSearch, MainAlgorithm, SearchParams};
 use proptest::prelude::*;
 
@@ -44,14 +44,21 @@ proptest! {
 
     #[test]
     fn batch_search_result_energy_matches_model(
-        q in arb_qubo(24),
+        q in arb_qubo(140),
         seed in any::<u64>(),
         algo_idx in 0usize..5,
     ) {
+        // Up to 140 bits spans three 64-bit segments, so segment-layer
+        // selection is exercised across boundaries and a partial tail, on
+        // both kernels from the same RNG stream.
+        let mut q = q;
+        q.select_kernel(KernelChoice::Dense);
         let n = q.n();
         let algo = MainAlgorithm::ALL[algo_idx];
         let mut rng = dabs::rng::Xorshift64Star::new(seed);
         let target = Solution::random(n, &mut rng);
+        let mut rng_dense = rng;
+
         let mut st = IncrementalState::new(&q);
         let mut batch = BatchSearch::new(n, SearchParams::default());
         let out = batch.run(&mut st, &target, algo, &mut rng);
@@ -59,6 +66,16 @@ proptest! {
         prop_assert!(out.flips > 0 || st.solution() == &target);
         // the resident state is still internally consistent
         st.assert_consistent();
+
+        let mut st_dense = IncrementalState::new_dense(&q);
+        let mut batch = BatchSearch::new(n, SearchParams::default());
+        let out_dense = batch.run(&mut st_dense, &target, algo, &mut rng_dense);
+        prop_assert_eq!(q.energy(&out_dense.best), out_dense.energy);
+        st_dense.assert_consistent();
+        // the kernels are bit-identical, so the whole batch is too
+        prop_assert_eq!(&out_dense.best, &out.best);
+        prop_assert_eq!(out_dense.flips, out.flips);
+        prop_assert_eq!(st_dense.solution(), st.solution());
     }
 
     #[test]
