@@ -111,21 +111,10 @@ fn accumulate_lane_word(dst: &mut [i64; 64], w: i64, sgn: u64, bits: &[u8]) {
 mod simd {
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
-    use std::sync::OnceLock;
-
-    /// Runtime CPU check, resolved once: F for masked 64-bit add/compare,
-    /// DQ for the `vpmovm2q` mask-to-vector expansion.
-    pub(super) fn available() -> bool {
-        static AVAIL: OnceLock<bool> = OnceLock::new();
-        *AVAIL.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512dq")
-        })
-    }
 
     /// AVX-512 body of [`super::apply_row`]: per neighbour `j` and lane
     /// word, eight masked 8×i64 `±w` adds. Callers must have verified
-    /// [`available`] — hence the `unsafe fn`.
+    /// `crate::cpu::avx512f_dq` — hence the `unsafe fn`.
     #[target_feature(enable = "avx512f,avx512dq")]
     pub(super) unsafe fn apply_row(
         x: &[u64],
@@ -172,7 +161,7 @@ mod simd {
     /// AVX-512 body of [`super::BatchState::accept_mask_le`]: build one
     /// 64-lane accept word from eight `vpcmpleq` mask compares. `d` and
     /// `thresholds` hold 64 gains/thresholds per output word. Callers must
-    /// have verified [`available`].
+    /// have verified `crate::cpu::avx512f_dq`.
     #[target_feature(enable = "avx512f,avx512dq")]
     pub(super) unsafe fn accept_mask_le(d: &[i64], thresholds: &[i64], out: &mut [u64]) {
         for (wi, o) in out.iter_mut().enumerate() {
@@ -210,8 +199,8 @@ fn apply_row(
     row: impl Iterator<Item = (usize, i64)>,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if simd::available() {
-        // SAFETY: `simd::available()` just confirmed AVX-512F/DQ at runtime.
+    if crate::cpu::avx512f_dq() {
+        // SAFETY: `crate::cpu::avx512f_dq()` just confirmed AVX-512F/DQ at runtime.
         #[allow(unsafe_code)]
         unsafe {
             simd::apply_row(x, wpv, xi, accept, delta, row)
@@ -362,8 +351,8 @@ impl<K: BatchKernel> BatchState<K> {
         debug_assert_eq!(out.len(), self.wpv);
         let d = self.deltas_of(i);
         #[cfg(target_arch = "x86_64")]
-        if simd::available() {
-            // SAFETY: `simd::available()` just confirmed AVX-512F/DQ at
+        if crate::cpu::avx512f_dq() {
+            // SAFETY: `crate::cpu::avx512f_dq()` just confirmed AVX-512F/DQ at
             // runtime; `d` and `thresholds` hold 64 entries per out word.
             #[allow(unsafe_code)]
             unsafe {

@@ -123,12 +123,12 @@ pub trait QuboKernel: Copy {
     ///   mirrored row ([`SegmentAggregates::update`]): a segment goes dirty
     ///   only when an update destroys its recorded extremum, so a flip
     ///   dirties ≈ `deg(i)/32` segments in expectation, not `deg(i)`;
-    /// * dense keeps this default (update, then mark all): every lane
-    ///   changes anyway, and the first selection query re-reduces the
-    ///   whole array in one branchless pass — fusing the reduction into
-    ///   the strip update was measured ~30 % slower per flip and taxed
-    ///   selection-free consumers (see the note on the dense impl);
-    /// * the default is correct for any backend.
+    /// * dense changes every lane, so on CPUs with AVX-512F it re-reduces
+    ///   each 64-lane strip's segment inline, in the same pass that
+    ///   updates it, and leaves every segment clean
+    ///   ([`SegmentAggregates::set`]); elsewhere it keeps this default;
+    /// * the default (update, then mark all, so the first selection query
+    ///   re-reduces the whole array) is correct for any backend.
     ///
     /// Like `apply_flip`, this must not touch `delta[i]` — the caller
     /// negates it and updates `i`'s aggregates afterwards.
@@ -384,16 +384,134 @@ impl QuboKernel for DenseKernel<'_> {
         }
     }
 
-    // `apply_flip_seg` deliberately stays on the default
-    // (update-then-mark-all) path. A fused variant that re-reduced each
-    // 64-lane strip inside the update pass measured ~30 % slower per dense
-    // flip — the extra compares break the tight sign-select/add pipeline —
-    // which taxed every dense flip (including selection-free consumers
-    // like SA and the kernel throughput sweep) and tripped the
-    // `kernel_sweep` dense ≥ 2× CSR contract. Marking everything and
-    // letting the first selection query run one branchless `O(n)` refresh
-    // keeps the flip at full speed and still replaces the strategies' two
-    // branchy scans with aggregate reductions.
+    /// On CPUs with AVX-512F, one pass per solution word updates the
+    /// strip's gains and re-reduces its segment while the new gains are
+    /// still in registers, so no segment is left dirty. The portable
+    /// per-lane sign loop in [`QuboKernel::apply_flip`] does not vectorize
+    /// on the baseline x86-64 target; without AVX-512F it runs, followed by
+    /// [`SegmentAggregates::mark_all`] and one lazy refresh at the next
+    /// selection query.
+    #[inline]
+    fn apply_flip_seg(
+        &self,
+        x: &Solution,
+        i: usize,
+        delta: &mut [i64],
+        segs: &mut SegmentAggregates,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::cpu::avx512f() {
+            // SAFETY: `crate::cpu::avx512f()` just confirmed AVX-512F at runtime.
+            #[allow(unsafe_code)]
+            unsafe {
+                simd::apply_flip_seg(self.dense.row(i), x.words(), x.get(i), delta, segs)
+            };
+            return;
+        }
+        self.apply_flip(x, i, delta);
+        segs.mark_all();
+    }
+}
+
+/// Explicit AVX-512 body of the dense flip: eight 8×i64 chunks per 64-lane
+/// strip, each negated by mask straight from the solution word, added,
+/// stored and folded into a running min and max.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod simd {
+    use crate::segments::SegmentAggregates;
+    #[allow(clippy::wildcard_imports)]
+    use std::arch::x86_64::*;
+
+    /// AVX-512 body of `DenseKernel::apply_flip_seg`: the same gain update
+    /// as `DenseKernel::apply_flip`, with every strip's segment aggregates
+    /// stored through [`SegmentAggregates::set`] as it goes. `row` is the
+    /// flipped bit's padded row, `words` the pre-flip solution words and
+    /// `xi` the flipped bit's pre-flip value.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F: callers check `crate::cpu::avx512f`
+    /// first.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn apply_flip_seg(
+        row: &[i64],
+        words: &[u64],
+        xi: bool,
+        delta: &mut [i64],
+        segs: &mut SegmentAggregates,
+    ) {
+        debug_assert_eq!(delta.len().div_ceil(64), segs.segments());
+        // σ(x_i)σ(x_j) = −1 iff x_j != x_i: those lanes take −W_ij.
+        let flip = if xi { !0u64 } else { 0 };
+        for (seg, (dst, &word)) in delta.chunks_mut(64).zip(words).enumerate() {
+            let base = seg << 6;
+            let w: &[i64; 64] = row[base..base + 64]
+                .try_into()
+                .expect("dense rows are padded to whole 64-lane strips");
+            let lanes = if dst.len() == 64 {
+                u64::MAX
+            } else {
+                (1u64 << dst.len()) - 1
+            };
+            // SAFETY: AVX-512F is enabled on this function; `lanes` selects
+            // exactly the `dst.len()` lanes of `dst`.
+            let (mn, am, mx) = unsafe { strip(w, dst, word ^ flip, lanes) };
+            segs.set(seg, mn, base + am, mx);
+        }
+        segs.mark_clean();
+    }
+
+    /// One strip: `dst[k] += neg_k ? −w[k] : w[k]` on the lanes set in
+    /// `lanes`, returning the updated lanes' min, the offset of its first
+    /// holder, and max.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, and `lanes` must select only lanes
+    /// below `dst.len()` (at least one).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn strip(w: &[i64; 64], dst: &mut [i64], neg: u64, lanes: u64) -> (i64, usize, i64) {
+        let zero = _mm512_setzero_si512();
+        let mut vmin = _mm512_set1_epi64(i64::MAX);
+        let mut vmax = _mm512_set1_epi64(i64::MIN);
+        let mut new = [zero; 8];
+        let p = dst.as_mut_ptr();
+        for (c, v) in new.iter_mut().enumerate() {
+            let k = (lanes >> (c * 8)) as __mmask8;
+            let kn = (neg >> (c * 8)) as __mmask8;
+            // SAFETY: `w` holds 64 lanes; `k` selects only lanes below
+            // `dst.len()`, and masked-off lanes are never accessed, so the
+            // wrapped pointer of an all-masked chunk is never dereferenced.
+            let (wv, d) = unsafe {
+                (
+                    _mm512_loadu_epi64(w.as_ptr().add(c * 8)),
+                    _mm512_maskz_loadu_epi64(k, p.wrapping_add(c * 8)),
+                )
+            };
+            let nd = _mm512_add_epi64(d, _mm512_mask_sub_epi64(wv, kn, zero, wv));
+            // SAFETY: as for the load above.
+            unsafe { _mm512_mask_storeu_epi64(p.wrapping_add(c * 8), k, nd) };
+            vmin = _mm512_mask_min_epi64(vmin, k, vmin, nd);
+            vmax = _mm512_mask_max_epi64(vmax, k, vmax, nd);
+            *v = nd;
+        }
+        let mn = _mm512_reduce_min_epi64(vmin);
+        let mnv = _mm512_set1_epi64(mn);
+        // Shift-and-or from the top chunk down, as in the segment lane
+        // helpers; the lowest set bit is the lowest-index holder.
+        let mut eq = 0u64;
+        for c in (0..8).rev() {
+            let k = (lanes >> (c * 8)) as __mmask8;
+            eq = eq << 8 | u64::from(_mm512_mask_cmpeq_epi64_mask(k, new[c], mnv));
+        }
+        (
+            mn,
+            eq.trailing_zeros() as usize,
+            _mm512_reduce_max_epi64(vmax),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -478,6 +596,79 @@ mod tests {
                 assert_eq!(da, db, "n={n}");
             }
             // ground truth after the walk
+            for (i, &d) in da.iter().enumerate() {
+                assert_eq!(d, q.delta(&x, i), "n={n} bit {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn dense_fused_flip_matches_portable_update() {
+        use crate::segments::reduce_min_argmin_max;
+        // The fused AVX-512 pass runs where the CPU has it; elsewhere the
+        // trait's mark-all path runs and the aggregates are checked after
+        // a refresh instead.
+        #[cfg(target_arch = "x86_64")]
+        let fused = crate::cpu::avx512f();
+        #[cfg(not(target_arch = "x86_64"))]
+        let fused = false;
+        for (n, density) in [
+            (5usize, 0.9),
+            (63, 0.3),
+            (64, 0.5),
+            (65, 0.7),
+            (129, 0.9),
+            (250, 0.4),
+            (300, 0.6),
+        ] {
+            let q = random_model(n, density, 800 + n as u64, KernelChoice::Dense);
+            let dense = DenseKernel::new(&q);
+            let mut rng = Xorshift64Star::new(900 + n as u64);
+            let mut x = Solution::random(n, &mut rng);
+            let mut da = vec![0i64; n];
+            let mut db = vec![0i64; n];
+            dense.init(&x, &mut da);
+            dense.init(&x, &mut db);
+            let mut segs = SegmentAggregates::all_dirty(n);
+            let tail = (n - 1) & !63;
+            for step in 0..600 {
+                // bit 0, bit n−1 and the tail strip on a schedule, else random
+                let i = match step % 5 {
+                    0 => 0,
+                    1 => n - 1,
+                    2 => tail + rng.next_index(n - tail),
+                    _ => rng.next_index(n),
+                };
+                dense.apply_flip_seg(&x, i, &mut da, &mut segs);
+                dense.apply_flip(&x, i, &mut db);
+                assert_eq!(da, db, "n={n} step={step} flip {i}: gains");
+                if fused {
+                    assert!(
+                        !segs.is_dirty(),
+                        "n={n} step={step}: fused pass left a dirty segment"
+                    );
+                } else {
+                    assert!(segs.is_dirty(), "n={n}: mark-all path left segments clean");
+                    segs.refresh(&da);
+                }
+                for seg in 0..segs.segments() {
+                    let (lo, hi) = segs.bounds(seg);
+                    let (mn, am, mx) = reduce_min_argmin_max(lo, &db[lo..hi]);
+                    assert_eq!(
+                        (segs.min_of(seg), segs.argmin_of(seg), segs.max_of(seg)),
+                        (mn, am, mx),
+                        "n={n} step={step} flip {i}: segment {seg}"
+                    );
+                }
+                // the rest of `IncrementalState::flip`
+                let d_i = da[i];
+                da[i] = -d_i;
+                db[i] = -d_i;
+                segs.update(i, d_i, -d_i);
+                x.flip(i);
+            }
+            segs.refresh(&da);
+            segs.assert_matches(&da);
             for (i, &d) in da.iter().enumerate() {
                 assert_eq!(d, q.delta(&x, i), "n={n} bit {i}");
             }

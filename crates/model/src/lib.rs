@@ -34,6 +34,8 @@
 
 pub mod batch_kernel;
 mod builder;
+#[cfg(target_arch = "x86_64")]
+mod cpu;
 mod csr;
 mod dense;
 mod error;

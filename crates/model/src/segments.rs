@@ -16,9 +16,10 @@
 //! * a flip **marks** the segments it dirtied (CSR: tighten-or-mark per
 //!   updated entry of the mirrored row, so a segment goes dirty only when
 //!   its recorded extremum's holder moves; dense: every lane changes, so
-//!   the whole array is marked and the first query re-reduces it in one
-//!   branchless pass — fusing the reduction into the strip update measured
-//!   slower, see the dense kernel's note),
+//!   on CPUs with AVX-512F each strip's segment is re-reduced inline in
+//!   the update pass and stored clean with [`SegmentAggregates::set`],
+//!   and elsewhere the whole array is marked and the first query
+//!   re-reduces it in one branchless pass),
 //! * a **query** first re-reduces only the dirty segments with chunked,
 //!   branchless, autovectorizable loops ([`SegmentAggregates::refresh`]),
 //!   then answers from the `n / 64` aggregates,
@@ -201,11 +202,9 @@ impl SegmentAggregates {
 
     /// Store freshly computed aggregates (min, its lowest attaining index,
     /// max) and clear the segment's dirty bits — the integration point for
-    /// a backend that re-reduces inline during its update pass. No current
-    /// kernel takes that route (the dense backend's fused variant measured
-    /// slower than mark-all + one lazy refresh, see
-    /// `DenseKernel::apply_flip_seg`'s note), so today only tests and the
-    /// trait contract exercise it.
+    /// a backend that re-reduces inline during its update pass (the dense
+    /// kernel on CPUs with AVX-512F). Not counted in
+    /// [`SegmentAggregates::reductions`], which counts lazy refreshes.
     #[inline(always)]
     pub fn set(&mut self, seg: usize, min: i64, argmin: usize, max: i64) {
         self.mins[seg] = min;
@@ -214,6 +213,22 @@ impl SegmentAggregates {
         let clear = !(1u64 << (seg & 63));
         self.dirty_min[seg >> 6] &= clear;
         self.dirty_max[seg >> 6] &= clear;
+    }
+
+    /// Clear both fast-path dirty flags after a pass that [`set`] every
+    /// segment, so no dirty bit is left.
+    ///
+    /// [`set`]: SegmentAggregates::set
+    pub(crate) fn mark_clean(&mut self) {
+        debug_assert!(
+            self.dirty_min
+                .iter()
+                .chain(&self.dirty_max)
+                .all(|&w| w == 0),
+            "mark_clean with a segment still dirty"
+        );
+        self.any_dirty_min = false;
+        self.any_dirty_max = false;
     }
 
     /// Minimum gain in segment `seg`. Only meaningful after
@@ -331,8 +346,8 @@ impl SegmentAggregates {
 #[inline]
 pub(crate) fn le_mask(chunk: &[i64], bound: i64) -> u64 {
     #[cfg(target_arch = "x86_64")]
-    if let (Ok(seg), true) = (<&[i64; SEG_WIDTH]>::try_from(chunk), simd::available()) {
-        // SAFETY: `simd::available()` just confirmed AVX-512F at runtime.
+    if let (Ok(seg), true) = (<&[i64; SEG_WIDTH]>::try_from(chunk), crate::cpu::avx512f()) {
+        // SAFETY: `crate::cpu::avx512f()` just confirmed AVX-512F at runtime.
         #[allow(unsafe_code)]
         return unsafe { simd::le_mask(seg, bound) };
     }
@@ -345,8 +360,8 @@ pub(crate) fn le_mask(chunk: &[i64], bound: i64) -> u64 {
 #[inline]
 pub(crate) fn positive_min(chunk: &[i64]) -> i64 {
     #[cfg(target_arch = "x86_64")]
-    if let (Ok(seg), true) = (<&[i64; SEG_WIDTH]>::try_from(chunk), simd::available()) {
-        // SAFETY: `simd::available()` just confirmed AVX-512F at runtime.
+    if let (Ok(seg), true) = (<&[i64; SEG_WIDTH]>::try_from(chunk), crate::cpu::avx512f()) {
+        // SAFETY: `crate::cpu::avx512f()` just confirmed AVX-512F at runtime.
         #[allow(unsafe_code)]
         return unsafe { simd::positive_min(seg) };
     }
@@ -379,14 +394,6 @@ fn positive_min_portable(chunk: &[i64]) -> i64 {
 mod simd {
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
-    use std::sync::OnceLock;
-
-    /// Runtime CPU check, resolved once: F has the 64-bit mask compares
-    /// and masked min.
-    pub(super) fn available() -> bool {
-        static AVAIL: OnceLock<bool> = OnceLock::new();
-        *AVAIL.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
-    }
 
     /// Eight gains of `seg` starting at lane `c·8` (panics past lane 63).
     #[inline]
@@ -402,7 +409,7 @@ mod simd {
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX-512F: callers check [`available`] first.
+    /// The CPU must support AVX-512F: callers check `crate::cpu::avx512f` first.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn le_mask(seg: &[i64; 64], bound: i64) -> u64 {
         let b = _mm512_set1_epi64(bound);
@@ -421,7 +428,7 @@ mod simd {
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX-512F: callers check [`available`] first.
+    /// The CPU must support AVX-512F: callers check `crate::cpu::avx512f` first.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn positive_min(seg: &[i64; 64]) -> i64 {
         let zero = _mm512_setzero_si512();
