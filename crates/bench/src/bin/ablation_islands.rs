@@ -1,7 +1,7 @@
 //! Ablation: island ring (multiple pools + Xrossover) vs a single pool.
 //!
 //! Compares 4 devices × 2 blocks (four islands) against 1 device × 8 blocks
-//! (one island, same total block workers) — the paper's §IV-B diversity
+//! (one island, same total resident blocks) — the paper's §IV-B diversity
 //! argument in isolation. Thin wrapper over
 //! [`dabs_bench::scenarios::ablation`]; the suite's `ablation_islands`
 //! entry runs the same arms deterministically.

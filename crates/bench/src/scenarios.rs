@@ -1438,8 +1438,7 @@ pub mod obs_overhead {
 pub mod server_load {
     use super::*;
     use dabs_server::{
-        drive_fleet, Client, ExecMode, JobSpec, LatencySummary, PoolLoad, ProblemSpec, Server,
-        ServerConfig,
+        drive_fleet, Client, JobSpec, LatencySummary, PoolLoad, ProblemSpec, Server, ServerConfig,
     };
     use std::time::Instant;
 
@@ -1512,7 +1511,6 @@ pub mod server_load {
                 .submit(&JobSpec {
                     problem: ProblemSpec::random(spec.n, 999),
                     seed: 999,
-                    mode: ExecMode::Sequential,
                     max_batches: Some(spec.batches),
                     ..JobSpec::default()
                 })
@@ -1528,7 +1526,6 @@ pub mod server_load {
             JobSpec {
                 problem: ProblemSpec::random(n, job_seed),
                 seed: job_seed,
-                mode: ExecMode::Sequential,
                 max_batches: Some(batches),
                 ..JobSpec::default()
             }
@@ -1691,7 +1688,6 @@ pub mod server_load {
                 JobSpec {
                     problem: ProblemSpec::random(n, job_seed),
                     seed: job_seed,
-                    mode: ExecMode::Sequential,
                     max_batches: Some(batches),
                     ..JobSpec::default()
                 }
@@ -1708,7 +1704,6 @@ pub mod server_load {
             .submit(&JobSpec {
                 problem: ProblemSpec::random(fleet.n, 999),
                 seed: 999,
-                mode: ExecMode::Sequential,
                 max_batches: Some(fleet.batches),
                 ..JobSpec::default()
             })
@@ -1723,7 +1718,6 @@ pub mod server_load {
             .submit(&JobSpec {
                 problem: ProblemSpec::random(spec.large_n, fleet.seed ^ 0x9e37),
                 seed: fleet.seed ^ 0x9e37,
-                mode: ExecMode::Sequential,
                 max_batches: Some(spec.large_batches),
                 units: Some(spec.large_units),
                 priority: -1,
@@ -2478,7 +2472,7 @@ pub mod ablation {
     }
 
     /// Island ring (4 pools × 2 blocks) vs a single pool with the same
-    /// total block workers (1 × 8). Ignores the plan's device/block shape —
+    /// total resident blocks (1 × 8). Ignores the plan's device/block shape —
     /// the shape *is* the ablation.
     pub fn islands_arms() -> Vec<Arm> {
         vec![

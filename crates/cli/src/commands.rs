@@ -7,8 +7,8 @@ use dabs_baselines::sa::{SaConfig, SimulatedAnnealing};
 use dabs_baselines::sb::{SbConfig, SimulatedBifurcation};
 use dabs_core::{DabsConfig, DabsSolver, Incumbent, IncumbentObserver, Termination};
 use dabs_server::{
-    drive_fleet, timeline_to_chrome, Client, ExecMode, JobSpec, LatencySummary, PoolLoad,
-    ProblemSpec, Server, ServerConfig, TimelineEvent, TimelineKind,
+    drive_fleet, timeline_to_chrome, Client, JobSpec, LatencySummary, PoolLoad, ProblemSpec,
+    Server, ServerConfig, TimelineEvent, TimelineKind,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -17,7 +17,6 @@ use std::time::{Duration, Instant};
 /// `dabs solve`: run DABS (or the ABS preset) and print the result.
 pub fn solve(opts: &Options) -> Result<(), String> {
     let (model, name) = opts.build_model()?;
-    let model = Arc::new(model);
     if !opts.json {
         println!(
             "instance: {name} — {} bits, {} quadratic terms",
@@ -196,7 +195,6 @@ pub fn loadgen_from_args(args: &[String]) -> Result<(), String> {
         JobSpec {
             problem: ProblemSpec::random(n, seed),
             seed,
-            mode: ExecMode::Sequential,
             max_batches: Some(batches),
             ..JobSpec::default()
         }
@@ -338,7 +336,6 @@ pub fn bench_from_args(args: &[String]) -> i32 {
 /// `dabs compare`: run every solver in the repo on the same instance.
 pub fn compare(opts: &Options) -> Result<(), String> {
     let (model, name) = opts.build_model()?;
-    let model = Arc::new(model);
     println!(
         "instance: {name} — {} bits, {} quadratic terms",
         model.n(),

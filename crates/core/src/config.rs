@@ -7,10 +7,13 @@ use serde::{Deserialize, Serialize};
 /// Full configuration of a DABS run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DabsConfig {
-    /// Number of virtual devices = number of solution pools (paper: 8).
+    /// Number of devices = number of solution pools in a unit's ring
+    /// (paper: 8).
     pub devices: usize,
-    /// Block workers per device (paper: 216 CUDA blocks per A100; a small
-    /// number of CPU threads is the simulator equivalent).
+    /// Resident blocks per device (paper: 216 CUDA blocks per A100).
+    /// [`DabsSolver::run`](crate::DabsSolver::run) runs this many units side
+    /// by side, each with one block per device over its own pool ring; a
+    /// sequential run or a server unit is one such unit.
     pub blocks_per_device: usize,
     /// Batch-search flip budgets and tabu tenure.
     pub params: SearchParams,

@@ -17,10 +17,12 @@
 //! time it explores uniformly). Pairs that produce good solutions therefore
 //! occupy more rows and get selected more often — no explicit scoring model.
 //!
-//! [`DabsSolver`] is the multi-threaded solver (one host thread + one
-//! virtual device per pool); [`DabsSolver::run_sequential`] is a
-//! deterministic single-threaded mode used by tests and small studies. The
-//! authors' earlier fixed-strategy ABS solver is available as the
+//! [`DabsSolver`] has one engine: a *unit* owns one pool ring and one inline
+//! device per pool. [`DabsSolver::run_sequential`] steps a single unit on
+//! the caller's thread; [`DabsSolver::run`] steps `blocks_per_device` units
+//! side by side and folds them; the server schedules units of many jobs on
+//! its worker pool ([`DabsSolver::start_unit`]). The authors' earlier
+//! fixed-strategy ABS solver is available as the
 //! [`DabsConfig::abs_baseline`] preset.
 //!
 //! ```
@@ -46,7 +48,6 @@
 mod adaptive;
 mod config;
 mod genetic;
-mod island;
 pub mod obs;
 mod pool;
 mod solver;
@@ -59,11 +60,10 @@ pub use config::DabsConfig;
 // CLI) need only `dabs-core`.
 pub use dabs_gpu_sim::StopFlag;
 pub use genetic::GeneticOp;
-pub use island::IslandRing;
 pub use obs::{push_hist, solver_obs, ObsAccumulator, SolverObs};
 pub use pool::{PoolEntry, SolutionPool};
 pub use solver::{
-    DabsSolver, Incumbent, IncumbentObserver, SolveResult, Termination, UnitOutcome, UnitRun,
-    WarmStart,
+    unit_seed, DabsSolver, Incumbent, IncumbentObserver, SolveResult, Termination, UnitOutcome,
+    UnitRun, WarmStart,
 };
 pub use stats::{Direction, FrequencyReport, FrequencyTracker, Metric, MetricSet};

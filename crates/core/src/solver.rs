@@ -1,34 +1,31 @@
-//! The DABS solver (paper §V): host threads + virtual devices.
+//! The DABS solver (paper §V): pools, host logic and inline devices.
 //!
-//! Architecture per Fig. 2: each device is paired with one solution pool and
-//! one host thread. The host thread generates target packets by adaptive
-//! genetic operations on its pool (occasionally crossing into the ring
-//! neighbour's pool), keeps the device's request queue full, and folds
-//! returned results back into the pool and the global best.
+//! Architecture per Fig. 2: each device is paired with one solution pool.
+//! The host side generates target packets by adaptive genetic operations on
+//! a pool (occasionally crossing into the ring neighbour's pool), hands them
+//! to that pool's device, and folds the returned results back into the pool
+//! and the running best.
 //!
-//! Two execution modes:
+//! One engine runs all of it: a *unit* ([`UnitRun`]) owns one pool ring and
+//! one inline device per pool, and advances them round-robin, one batch at
+//! a time, deterministically for a given seed.
 //!
-//! * [`DabsSolver::run`] — threaded, one virtual device (with
-//!   `blocks_per_device` block workers) + one host thread per pool.
-//! * [`DabsSolver::run_sequential`] — single-threaded round-robin over
-//!   inline devices; bit-for-bit deterministic for a given seed, used by
-//!   tests and ablation studies.
+//! * [`DabsSolver::run_sequential`] — one unit on the caller's thread.
+//! * [`DabsSolver::run`] — `blocks_per_device` units side by side on scoped
+//!   threads (one resident block per device each), folded in index order
+//!   with [`UnitOutcome::merge`]. Unit `k` is seeded by [`unit_seed`], so
+//!   unit 0 is exactly the sequential run.
+//! * [`DabsSolver::start_unit`] — a unit paused and resumed in batch quanta,
+//!   which is what the server's worker pool schedules.
 
 use crate::adaptive::{generate_target, select_algorithm, select_operation};
-use crate::{
-    DabsConfig, FrequencyReport, FrequencyTracker, GeneticOp, IslandRing, PoolEntry, SolutionPool,
-};
-use crossbeam::channel;
-use dabs_gpu_sim::{
-    DeviceConfig, DeviceStats, InlineDevice, Packet, SharedBest, StopFlag, VirtualDevice,
-};
+use crate::{DabsConfig, FrequencyReport, FrequencyTracker, GeneticOp, PoolEntry, SolutionPool};
+use dabs_gpu_sim::{InlineDevice, Packet, StopFlag};
 use dabs_model::{BatchKernel, CsrKernel, DenseKernel, KernelKind, QuboModel, Solution};
 use dabs_rng::{Rng64, SplitMix64, Xorshift64Star};
 use dabs_search::MainAlgorithm;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// When to stop a run. Conditions combine with OR; at least one must be set.
@@ -224,71 +221,6 @@ impl UnitOutcome {
     }
 }
 
-/// Shared record of the best solution across all pools/devices.
-struct GlobalBest {
-    /// Fast-path energy for lock-free checks.
-    energy: AtomicI64,
-    detail: Mutex<BestDetail>,
-    /// Incumbent callback; invoked under the `detail` lock so deliveries are
-    /// serialized and strictly improving even with many host threads racing.
-    observer: Option<IncumbentObserver>,
-}
-
-#[derive(Debug)]
-struct BestDetail {
-    solution: Option<Solution>,
-    energy: i64,
-    found_at: Duration,
-    finder: Option<(MainAlgorithm, GeneticOp)>,
-}
-
-impl GlobalBest {
-    fn new(observer: Option<IncumbentObserver>) -> Self {
-        Self {
-            energy: AtomicI64::new(i64::MAX),
-            detail: Mutex::new(BestDetail {
-                solution: None,
-                energy: i64::MAX,
-                found_at: Duration::ZERO,
-                finder: None,
-            }),
-            observer,
-        }
-    }
-
-    /// Record a candidate; cheap when not an improvement.
-    fn offer(
-        &self,
-        solution: &Solution,
-        energy: i64,
-        found_at: Duration,
-        finder: (MainAlgorithm, GeneticOp),
-    ) {
-        if energy >= self.energy.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut d = self.detail.lock();
-        if energy < d.energy {
-            d.energy = energy;
-            d.solution = Some(solution.clone());
-            d.found_at = found_at;
-            d.finder = Some(finder);
-            self.energy.store(energy, Ordering::Relaxed);
-            if let Some(obs) = &self.observer {
-                obs(&Incumbent {
-                    solution: solution.clone(),
-                    energy,
-                    found_at,
-                });
-            }
-        }
-    }
-
-    fn current(&self) -> i64 {
-        self.energy.load(Ordering::Relaxed)
-    }
-}
-
 /// The multi-pool adaptive solver.
 #[derive(Debug, Clone)]
 pub struct DabsSolver {
@@ -307,19 +239,22 @@ impl DabsSolver {
         &self.config
     }
 
-    /// Threaded run: `devices` virtual devices with `blocks_per_device`
-    /// workers each, plus one host thread per device.
-    pub fn run(&self, model: &Arc<QuboModel>, termination: Termination) -> SolveResult {
+    /// Parallel run: `blocks_per_device` units stepped side by side, each
+    /// one resident block per device over its own pool ring, folded in
+    /// index order. With one block the single unit runs on the caller's
+    /// thread and equals [`DabsSolver::run_sequential`]. `max_batches` is
+    /// split across the units exactly, and a unit that reaches the target
+    /// stops its siblings within one batch.
+    pub fn run(&self, model: &QuboModel, termination: Termination) -> SolveResult {
         self.run_observed(model, termination, None)
     }
 
-    /// Threaded run that additionally invokes `observer` on every new
-    /// global-best incumbent (see [`IncumbentObserver`] for the delivery
-    /// contract). Used by the server runtime to stream incumbents to
-    /// subscribed clients and by the CLI for live progress.
+    /// [`DabsSolver::run`] that additionally invokes `observer` on every
+    /// new best incumbent across all units (see [`IncumbentObserver`] for
+    /// the delivery contract). Used by the CLI for live progress.
     pub fn run_with_observer(
         &self,
-        model: &Arc<QuboModel>,
+        model: &QuboModel,
         termination: Termination,
         observer: IncumbentObserver,
     ) -> SolveResult {
@@ -328,135 +263,51 @@ impl DabsSolver {
 
     fn run_observed(
         &self,
-        model: &Arc<QuboModel>,
+        model: &QuboModel,
         termination: Termination,
         observer: Option<IncumbentObserver>,
     ) -> SolveResult {
         termination.validate().expect("invalid termination");
-        let n = model.n();
-        let cfg = &self.config;
         let start = Instant::now();
-
-        let ring = IslandRing::new(cfg.devices, cfg.pool_capacity, cfg.dedup);
-        let mut seeder = SplitMix64::new(cfg.seed);
-        for d in 0..cfg.devices {
-            let mut rng = Xorshift64Star::new(seeder.next_u64());
-            ring.pool(d)
-                .lock()
-                .fill_random(n, &cfg.algorithms, &cfg.operations, &mut rng);
-        }
-
-        let tracker = Arc::new(FrequencyTracker::new());
-        let global = Arc::new(GlobalBest::new(observer));
-        let stop = Arc::new(StopFlag::new());
-        let restarts = Arc::new(AtomicI64::new(0));
-        let mut device_stats = Vec::new();
-        let mut device_handles = Vec::new();
-        let mut host_handles = Vec::new();
-
-        for d in 0..cfg.devices {
-            let (req_tx, req_rx) = channel::bounded::<Packet>(cfg.blocks_per_device * 2);
-            let (res_tx, res_rx) = channel::unbounded::<Packet>();
-            let stats = Arc::new(DeviceStats::new());
-            device_stats.push(Arc::clone(&stats));
-            let dev_seed = seeder.next_u64();
-            device_handles.push(VirtualDevice::spawn(
-                Arc::clone(model),
-                DeviceConfig {
-                    blocks: cfg.blocks_per_device,
-                    params: cfg.params,
-                    seed: dev_seed,
+        let blocks = self.config.blocks_per_device as u64;
+        // Never more units than batches: a zero-budget unit would still run
+        // one batch.
+        let width = termination
+            .max_batches
+            .map_or(blocks, |b| blocks.min(b.max(1)));
+        let halt = Arc::new(StopFlag::new());
+        let gate = incumbent_gate(observer, termination.target_energy, Arc::clone(&halt));
+        let run_unit = |k: u64| {
+            let mut term = termination.clone();
+            term.max_batches = termination
+                .max_batches
+                .map(|b| b / width + u64::from(k < b % width));
+            let solver = DabsSolver {
+                config: DabsConfig {
+                    seed: unit_seed(self.config.seed, k as u32),
+                    ..self.config.clone()
                 },
-                req_rx,
-                res_tx,
-                Arc::new(SharedBest::new()),
-                Arc::clone(&stop),
-                stats,
-            ));
-
-            let host_seed = seeder.next_u64();
-            let pool = Arc::clone(ring.pool(d));
-            let neighbor = ring.neighbor(d).cloned();
-            let tracker = Arc::clone(&tracker);
-            let global = Arc::clone(&global);
-            let stop = Arc::clone(&stop);
-            let restarts = Arc::clone(&restarts);
-            let config = cfg.clone();
-            host_handles.push(std::thread::spawn(move || {
-                host_loop(
-                    n,
-                    &config,
-                    host_seed,
-                    &pool,
-                    neighbor.as_ref(),
-                    req_tx,
-                    res_rx,
-                    &tracker,
-                    &global,
-                    &stop,
-                    &restarts,
-                    start,
-                );
-            }));
-        }
-
-        // Supervisor: enforce the termination conditions.
-        loop {
-            if termination.stop_requested() {
-                break;
-            }
-            if let Some(t) = termination.target_energy {
-                if global.current() <= t {
-                    break;
-                }
-            }
-            if let Some(limit) = termination.time_limit {
-                if start.elapsed() >= limit {
-                    break;
-                }
-            }
-            if let Some(maxb) = termination.max_batches {
-                let total: u64 = device_stats.iter().map(|s| s.batches()).sum();
-                if total >= maxb {
-                    break;
-                }
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        stop.stop();
-        for h in host_handles {
-            let _ = h.join();
-        }
-        for h in device_handles {
-            h.join();
-        }
-
-        let elapsed = start.elapsed();
-        let batches: u64 = device_stats.iter().map(|s| s.batches()).sum();
-        let flips: u64 = device_stats.iter().map(|s| s.flips()).sum();
-        let detail = global.detail.lock();
-        let reached = termination
-            .target_energy
-            .map(|t| detail.energy <= t)
-            .unwrap_or(false);
+            };
+            let mut unit = solver.start_unit(model, term, Some(Arc::clone(&gate)), None);
+            while !unit.step(1) && !halt.is_stopped() {}
+            unit.finish()
+        };
+        let folded = if width == 1 {
+            run_unit(0)
+        } else {
+            std::thread::scope(|s| {
+                let run_unit = &run_unit;
+                let handles: Vec<_> = (0..width).map(|k| s.spawn(move || run_unit(k))).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .reduce(UnitOutcome::merge)
+                    .expect("at least one unit")
+            })
+        };
         SolveResult {
-            best: detail
-                .solution
-                .clone()
-                .unwrap_or_else(|| Solution::zeros(n)),
-            energy: if detail.solution.is_some() {
-                detail.energy
-            } else {
-                0
-            },
-            time_to_best: detail.found_at,
-            elapsed,
-            batches,
-            flips,
-            reached_target: reached,
-            frequencies: tracker.report(),
-            first_finder: detail.finder,
-            restarts: restarts.load(Ordering::Relaxed) as u32,
+            elapsed: start.elapsed(),
+            ..folded.result
         }
     }
 
@@ -511,9 +362,8 @@ impl DabsSolver {
         observer: Option<IncumbentObserver>,
         warm: Option<WarmStart>,
     ) -> UnitRun<'m> {
-        // Monomorphize the whole sequential loop on the model's selected
-        // energy-kernel backend (the threaded path dispatches inside each
-        // block worker instead — see `dabs_gpu_sim::VirtualDevice::spawn`).
+        // Monomorphize the whole unit loop on the model's selected
+        // energy-kernel backend; every run mode comes through here.
         let inner = match model.kernel_kind() {
             KernelKind::Dense => UnitInner::Dense(SeqEngine::new(
                 self.config.clone(),
@@ -749,10 +599,10 @@ impl<'m, K: BatchKernel> SeqEngine<'m, K> {
         self.tracker.record_dispatch(algo, op);
         // Deltas around the batch (three relaxed loads) feed the sampled
         // observability tally; the flip loop itself is untouched.
-        let flips_before = self.devices[d].stats().flips();
+        let flips_before = self.devices[d].flips();
         let reds_before = self.devices[d].seg_reductions();
         let result = self.devices[d].process(packet);
-        let flips_delta = self.devices[d].stats().flips() - flips_before;
+        let flips_delta = self.devices[d].flips() - flips_before;
         let reds_delta = self.devices[d].seg_reductions() - reds_before;
         self.batches += 1;
         let energy = result.energy.expect("device results carry energy");
@@ -795,7 +645,7 @@ impl<'m, K: BatchKernel> SeqEngine<'m, K> {
     }
 
     fn finish(self) -> UnitOutcome {
-        let flips: u64 = self.devices.iter().map(|dv| dv.stats().flips()).sum();
+        let flips: u64 = self.devices.iter().map(|dv| dv.flips()).sum();
         let reached = self
             .termination
             .target_energy
@@ -826,97 +676,39 @@ impl<'m, K: BatchKernel> SeqEngine<'m, K> {
     }
 }
 
-/// Host thread body: feed one device from one pool.
-#[allow(clippy::too_many_arguments)]
-fn host_loop(
-    n: usize,
-    config: &DabsConfig,
-    seed: u64,
-    pool: &Arc<Mutex<SolutionPool>>,
-    neighbor: Option<&Arc<Mutex<SolutionPool>>>,
-    req_tx: channel::Sender<Packet>,
-    res_rx: channel::Receiver<Packet>,
-    tracker: &FrequencyTracker,
-    global: &GlobalBest,
-    stop: &StopFlag,
-    restarts: &AtomicI64,
-    start: Instant,
-) {
-    let mut rng = Xorshift64Star::new(seed);
-    loop {
-        if stop.is_stopped() {
+/// Seed of unit `unit` of a run or a job. Unit 0 keeps `seed`, so a
+/// one-unit run is the sequential run; later units take successive draws
+/// of a SplitMix64 stream keyed on it, so sibling units that start without
+/// a warm start never replay one another's trajectory.
+pub fn unit_seed(seed: u64, unit: u32) -> u64 {
+    let mut stream = SplitMix64::new(seed ^ 0x756E_6974_5F73_6565); // "unit_see"
+    (0..unit).fold(seed, |_, _| stream.next_u64())
+}
+
+/// Wrap a run's observer so units stepping on several threads still
+/// deliver serialized, strictly improving incumbents: a unit's incumbent
+/// reaches `observer` only if it beats every incumbent delivered so far.
+/// An incumbent at or below `target` also trips `halt`, which stops the
+/// sibling units after their current batch.
+fn incumbent_gate(
+    observer: Option<IncumbentObserver>,
+    target: Option<i64>,
+    halt: Arc<StopFlag>,
+) -> IncumbentObserver {
+    let best = Mutex::new(i64::MAX);
+    Arc::new(move |inc: &Incumbent| {
+        let mut best = best.lock().unwrap_or_else(PoisonError::into_inner);
+        if inc.energy >= *best {
             return;
         }
-        // Fold back any finished batches.
-        let mut handled = 0;
-        while let Ok(result) = res_rx.try_recv() {
-            handled += 1;
-            let energy = result.energy.expect("device results carry energy");
-            let algo = result.algorithm;
-            let op = GeneticOp::from_index(result.genetic_op).unwrap_or(GeneticOp::Random);
-            global.offer(&result.solution, energy, start.elapsed(), (algo, op));
-            let mut p = pool.lock();
-            p.insert(PoolEntry {
-                solution: result.solution,
-                energy,
-                algorithm: algo,
-                operation: op,
-            });
-            if let Some(threshold) = config.restart_diversity {
-                if p.len() == p.capacity()
-                    && p.iter().all(|e| e.energy < i64::MAX)
-                    && p.diversity() < threshold
-                {
-                    p.fill_random(n, &config.algorithms, &config.operations, &mut rng);
-                    restarts.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        *best = inc.energy;
+        if target.is_some_and(|t| inc.energy <= t) {
+            halt.stop();
         }
-
-        // Keep the device's queue topped up.
-        if !req_tx.is_full() {
-            let (packet, algo, op) = {
-                let p = pool.lock();
-                let algo = select_algorithm(&p, config, &mut rng);
-                let op = select_operation(&p, config, &mut rng);
-                let target = match (op, neighbor) {
-                    // try_lock, not lock: each host already holds its own
-                    // pool here, so two ring neighbours that pick Xrossover
-                    // at the same time would block on each other's pool —
-                    // an AB-BA deadlock. On contention degrade to the
-                    // intra-pool form, same as the single-island case.
-                    (GeneticOp::Xrossover, Some(nb)) => match nb.try_lock() {
-                        Some(nbp) => generate_target(op, &p, Some(&nbp), n, config, &mut rng),
-                        None => generate_target(op, &p, None, n, config, &mut rng),
-                    },
-                    _ => generate_target(op, &p, None, n, config, &mut rng),
-                };
-                (Packet::request(target, algo, op.index() as u8), algo, op)
-            };
-            if req_tx.send(packet).is_err() {
-                return; // device gone
-            }
-            tracker.record_dispatch(algo, op);
-        } else if handled == 0 {
-            // Queue full and nothing returned: block briefly on a result.
-            match res_rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(result) => {
-                    let energy = result.energy.expect("device results carry energy");
-                    let algo = result.algorithm;
-                    let op = GeneticOp::from_index(result.genetic_op).unwrap_or(GeneticOp::Random);
-                    global.offer(&result.solution, energy, start.elapsed(), (algo, op));
-                    pool.lock().insert(PoolEntry {
-                        solution: result.solution,
-                        energy,
-                        algorithm: algo,
-                        operation: op,
-                    });
-                }
-                Err(channel::RecvTimeoutError::Timeout) => {}
-                Err(channel::RecvTimeoutError::Disconnected) => return,
-            }
+        if let Some(obs) = &observer {
+            obs(inc);
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1318,10 +1110,10 @@ mod tests {
             &q,
             Termination::batches(400),
             Arc::new(move |inc: &Incumbent| {
-                sink.lock().push((inc.energy, inc.found_at));
+                sink.lock().unwrap().push((inc.energy, inc.found_at));
             }),
         );
-        let seen = seen.lock();
+        let seen = seen.lock().unwrap();
         assert!(!seen.is_empty(), "at least the first best must be observed");
         for w in seen.windows(2) {
             assert!(w[1].0 < w[0].0, "energies must strictly improve: {seen:?}");
@@ -1350,10 +1142,10 @@ mod tests {
             &q,
             Termination::time(Duration::from_millis(300)),
             Arc::new(move |inc: &Incumbent| {
-                sink.lock().push(inc.energy);
+                sink.lock().unwrap().push(inc.energy);
             }),
         );
-        let seen = seen.lock();
+        let seen = seen.lock().unwrap();
         assert!(!seen.is_empty());
         for w in seen.windows(2) {
             assert!(w[1] < w[0], "energies must strictly improve: {seen:?}");
@@ -1414,7 +1206,7 @@ mod tests {
             &q,
             Termination::batches(200),
             Some(Arc::new(move |inc: &Incumbent| {
-                sink.lock().push(inc.energy);
+                sink.lock().unwrap().push(inc.energy);
             })),
             Some(WarmStart {
                 solution: cold.best.clone(),
@@ -1429,7 +1221,7 @@ mod tests {
         let out = unit.finish();
         assert!(out.found, "warm start alone counts as a found solution");
         assert!(out.result.energy <= cold.energy);
-        for e in seen.lock().iter() {
+        for e in seen.lock().unwrap().iter() {
             assert!(*e < cold.energy, "observer fired at non-improvement {e}");
         }
     }
@@ -1524,5 +1316,116 @@ mod tests {
         assert_eq!(folded.result.energy, ea.min(eb));
         assert_eq!(folded.result.batches, 100);
         assert!(folded.found);
+    }
+
+    /// `SolveResult` with the wall-clock fields zeroed, for exact equality.
+    fn timeless(r: SolveResult) -> SolveResult {
+        SolveResult {
+            elapsed: Duration::ZERO,
+            time_to_best: Duration::ZERO,
+            ..r
+        }
+    }
+
+    #[test]
+    fn run_with_one_block_equals_run_sequential() {
+        let q = random_model(28, 0.3, 220);
+        let solver = DabsSolver::new(DabsConfig {
+            devices: 3,
+            blocks_per_device: 1,
+            pool_capacity: 8,
+            seed: 96,
+            ..DabsConfig::default()
+        })
+        .unwrap();
+        let term = || Termination::batches(150);
+        assert_eq!(
+            timeless(solver.run(&q, term())),
+            timeless(solver.run_sequential(&q, term()))
+        );
+    }
+
+    #[test]
+    fn run_with_three_blocks_is_reproducible_and_batch_exact() {
+        let q = random_model(28, 0.3, 221);
+        let solver = DabsSolver::new(DabsConfig {
+            devices: 2,
+            blocks_per_device: 3,
+            pool_capacity: 8,
+            seed: 97,
+            ..DabsConfig::default()
+        })
+        .unwrap();
+        for k in [1u64, 2, 3, 100] {
+            let a = solver.run(&q, Termination::batches(k));
+            let b = solver.run(&q, Termination::batches(k));
+            assert_eq!(a.batches, k);
+            assert_eq!(a.frequencies.total(), k);
+            assert_eq!(q.energy(&a.best), a.energy);
+            assert_eq!(timeless(a), timeless(b), "batches({k})");
+        }
+    }
+
+    #[test]
+    fn later_units_do_not_replay_unit_zero() {
+        let q = random_model(28, 0.3, 222);
+        let cfg = DabsConfig {
+            devices: 2,
+            blocks_per_device: 1,
+            pool_capacity: 8,
+            seed: 98,
+            ..DabsConfig::default()
+        };
+        assert_eq!(unit_seed(cfg.seed, 0), cfg.seed);
+        let unit = |k: u32| {
+            let solver = DabsSolver::new(DabsConfig {
+                seed: unit_seed(cfg.seed, k),
+                ..cfg.clone()
+            })
+            .unwrap();
+            let mut u = solver.start_unit(&q, Termination::batches(80), None, None);
+            u.step(u64::MAX);
+            u.finish().result
+        };
+        let reference = DabsSolver::new(cfg.clone())
+            .unwrap()
+            .run_sequential(&q, Termination::batches(80));
+        let (u0, u1) = (unit(0), unit(1));
+        assert_eq!(timeless(u0.clone()), timeless(reference));
+        assert_ne!(
+            (u1.flips, &u1.frequencies),
+            (u0.flips, &u0.frequencies),
+            "unit 1 replayed unit 0"
+        );
+        assert_ne!(unit_seed(cfg.seed, 1), unit_seed(cfg.seed, 2));
+    }
+
+    #[test]
+    fn incumbent_gate_delivers_strict_improvements_and_halts_at_target() {
+        let seen: Arc<Mutex<Vec<i64>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let halt = Arc::new(StopFlag::new());
+        let gate = incumbent_gate(
+            Some(Arc::new(move |inc: &Incumbent| {
+                sink.lock().unwrap().push(inc.energy)
+            })),
+            Some(0),
+            Arc::clone(&halt),
+        );
+        let offer = |energy: i64| {
+            gate(&Incumbent {
+                solution: Solution::zeros(4),
+                energy,
+                found_at: Duration::ZERO,
+            });
+        };
+        for e in [5, 7, 3, 3, 1] {
+            offer(e);
+        }
+        assert!(!halt.is_stopped(), "no unit reached the target yet");
+        offer(0);
+        assert!(halt.is_stopped(), "reaching the target halts the siblings");
+        offer(-2);
+        assert_eq!(*seen.lock().unwrap(), vec![5, 3, 1, 0, -2]);
     }
 }

@@ -1,4 +1,4 @@
-//! Virtual multi-GPU substrate (paper §V, substituted per DESIGN.md).
+//! CPU model of the paper's GPU device (paper §V, substituted per DESIGN.md).
 //!
 //! The paper runs bulk search on eight NVIDIA A100s: each GPU hosts up to
 //! 216 CUDA blocks, every block keeps a resident solution vector and
@@ -6,27 +6,25 @@
 //! returning its best solution when the batch ends. Communication is by
 //! packet transfer; the host never computes energies.
 //!
-//! This crate reproduces that architecture on CPU threads:
+//! This crate keeps that block model and drops the threads:
 //!
-//! * [`VirtualDevice`] — one simulated GPU: a set of *block* worker threads
-//!   sharing the read-only model (the paper's global-memory `W` matrix).
+//! * [`InlineDevice`] — one resident block (scalar, or a bit-sliced lane
+//!   batch in bulk mode) that turns a request [`Packet`] into a result
+//!   packet synchronously, with plain batch/flip counters.
 //! * [`Packet`] — the four-field packet of Table I: solution vector, energy
 //!   (void on the way in), main search algorithm, genetic-operation tag.
-//! * [`SharedBest`] — the `atomicMin`-style device-wide best energy.
-//! * [`DeviceStats`] — flip/batch counters for throughput reporting.
+//! * [`StopFlag`] — the cooperative stop flag a run checks between batches.
 //!
-//! Blocks receive work over a bounded channel (the host keeps it fed, as
-//! its OpenMP threads do in the paper) and push results back over an
-//! unbounded channel. The DABS host layer in `dabs-core` owns the solution
-//! pools and the GA; this crate knows nothing about genetic operations —
-//! the packet's operation field is an opaque tag it faithfully round-trips.
+//! Parallelism lives one layer up: `dabs-core` runs several solver units
+//! side by side, each driving its own inline devices. The host layer there
+//! owns the solution pools and the GA; this crate knows nothing about
+//! genetic operations — the packet's operation field is an opaque tag it
+//! faithfully round-trips.
 
 mod device;
 mod packet;
 mod shared;
-mod stats;
 
-pub use device::{DeviceConfig, DeviceHandle, InlineDevice, VirtualDevice};
+pub use device::InlineDevice;
 pub use packet::Packet;
-pub use shared::{SharedBest, StopFlag};
-pub use stats::DeviceStats;
+pub use shared::StopFlag;

@@ -74,7 +74,7 @@ pub use queue::{AdmissionError, JobQueue};
 pub use server::{Server, ServerConfig, ServerState};
 pub use sink::LineSink;
 pub use spec::{
-    now_unix_ms, ExecMode, JobSpec, ProblemSpec, MAX_BLOCKS, MAX_DEVICES, MAX_PROBLEM_N,
-    MAX_QAP_SIZE, MAX_UNITS_PER_JOB,
+    now_unix_ms, JobSpec, ProblemSpec, MAX_BLOCKS, MAX_DEVICES, MAX_PROBLEM_N, MAX_QAP_SIZE,
+    MAX_UNITS_PER_JOB,
 };
 pub use wal::{ReplayedTerminal, Wal, WalRecord, WalReplay};

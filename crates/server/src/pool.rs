@@ -2,7 +2,7 @@
 //!
 //! The fixed job-per-worker pool bound one whole job to one long-lived
 //! thread — a single saturating job monopolized its worker while siblings
-//! idled. Here admission decomposes every sequential job into **units**
+//! idled. Here admission decomposes every job into **units**
 //! (slices of its batch budget, plus cube-seeded subproblem starts for
 //! large instances), scheduled from per-worker deques:
 //!
@@ -34,7 +34,7 @@ use crate::chaos::{chaos_hit, FaultPlan, FaultSite};
 use crate::job::{JobRecord, UnitEnd, QUARANTINE_PANIC_THRESHOLD};
 use crate::obs::{pool_obs, TimelineKind};
 use crate::queue::AdmissionError;
-use crate::spec::{now_unix_ms, ExecMode, JobSpec, MAX_UNITS_PER_JOB};
+use crate::spec::{now_unix_ms, JobSpec, MAX_UNITS_PER_JOB};
 use dabs_core::{Incumbent, IncumbentObserver, SolveResult, Termination, UnitOutcome, WarmStart};
 use dabs_model::{IncrementalState, QuboModel, Solution};
 use std::collections::VecDeque;
@@ -92,8 +92,6 @@ enum UnitWork {
     /// highest-|Δ| bits instead of the shared incumbent — cube-and-conquer
     /// style diversification for large instances.
     Cube { index: u32, batches: Option<u64> },
-    /// The whole job, threaded mode (the solver parallelizes internally).
-    Whole,
 }
 
 /// One queued unit.
@@ -489,8 +487,7 @@ fn shed_one_lower(shared: &PoolShared, s: &mut Sched, than: i32) -> bool {
 
 /// Decompose a job spec into unit work descriptors.
 ///
-/// - Threaded jobs stay whole (the solver parallelizes internally).
-/// - Sequential batch-budget jobs split into at most `workers` even slices,
+/// - Batch-budget jobs split into at most `workers` even slices,
 ///   but only once the budget is ≥ 2×[`MIN_UNIT_BATCHES`] — small jobs stay
 ///   single-unit, which keeps them bit-identical to the offline sequential
 ///   reference. `spec.units` overrides the width (capped at
@@ -499,11 +496,9 @@ fn shed_one_lower(shared: &PoolShared, s: &mut Sched, than: i32) -> bool {
 ///   job is ≥ 4 units wide and `n ≥ CUBE_MIN_N`, the first 2^[`CUBE_BITS`]
 ///   units start from the enumerated assignments of the highest-|Δ| bits.
 /// - Time/target-bounded jobs default to one unit (each extra unit would
-///   re-run the whole window); `spec.units` opts into parallel arms.
+///   re-run the whole window); `spec.units` (or the wire's
+///   `"mode": "threaded"`, one unit per block) opts into parallel arms.
 fn decompose(spec: &JobSpec, workers: usize) -> Vec<UnitWork> {
-    if spec.mode == ExecMode::Threaded {
-        return vec![UnitWork::Whole];
-    }
     let width = match (spec.units, spec.max_batches) {
         (Some(u), _) => u as u64,
         (None, Some(b)) => (b / MIN_UNIT_BATCHES).min(workers as u64).max(1),
@@ -774,7 +769,9 @@ fn execute_unit(
             return end_unit(record, ordinal, UnitEnd::Failed, 0, None, Some(e));
         }
     };
-    let solver = match record.spec.build_solver() {
+    // Start ordinal 1 is unit 0, which keeps the job's seed; every later
+    // unit (slice, cube, split or continuation) gets its own stream.
+    let solver = match record.spec.build_unit_solver(ordinal - 1) {
         Ok(s) => s,
         Err(e) => {
             return end_unit(record, ordinal, UnitEnd::Failed, 0, None, Some(e));
@@ -811,12 +808,6 @@ fn execute_unit(
     term.time_limit = window;
 
     let (slice, warm) = match &task.work {
-        UnitWork::Whole => {
-            // Threaded mode: the solver runs the whole job internally.
-            term.max_batches = record.spec.max_batches;
-            let result = solver.run_with_observer(&model, term.clone(), observer);
-            return finish_run(record, &term, result, ordinal);
-        }
         UnitWork::Slice { batches } => (*batches, record.incumbent()),
         UnitWork::Cube { index, batches } => {
             // A cube unit starts from its enumerated corner, not the shared
@@ -919,34 +910,6 @@ fn execute_unit(
     };
     let batches = out.result.batches;
     end_unit(record, ordinal, end, batches, Some(out), None)
-}
-
-/// Account a whole-job (threaded-mode) run as the record's single unit.
-fn finish_run(
-    record: &Arc<JobRecord>,
-    term: &Termination,
-    result: SolveResult,
-    unit: u32,
-) -> (UnitEnd, u64) {
-    if result.reached_target {
-        record.stop.stop();
-    }
-    let end = match classify(record, term, &result) {
-        JobPhase::Done => UnitEnd::Completed,
-        _ => UnitEnd::Interrupted,
-    };
-    let batches = result.batches;
-    end_unit(
-        record,
-        unit,
-        end,
-        batches,
-        Some(UnitOutcome {
-            result,
-            found: true,
-        }),
-        None,
-    )
 }
 
 /// Execute one job record synchronously to a terminal phase, as a
@@ -1294,17 +1257,18 @@ mod tests {
 
     #[test]
     fn threaded_mode_jobs_run_too() {
+        // The wire alias: "threaded" runs one time-bounded unit per block.
+        let line = "{\"problem\":{\"kind\":\"random\",\"n\":20,\"seed\":7},\"blocks\":2,\
+                    \"mode\":\"threaded\",\"time_ms\":150}";
+        let spec = JobSpec::from_json(&serde::json::Json::parse(line).unwrap()).unwrap();
+        assert_eq!(decompose(&spec, 8).len(), 2);
         let registry = registry();
-        let record = registry.register(JobSpec {
-            mode: ExecMode::Threaded,
-            max_batches: None,
-            time_ms: Some(150),
-            ..small_job(7, 0)
-        });
+        let record = registry.register(spec);
         execute(&record);
         let (phase, result, _) = record.snapshot();
         assert_eq!(phase, JobPhase::Done);
         assert!(result.unwrap().batches > 0);
+        assert_eq!(record.unit_counts().2, 2);
     }
 
     #[test]
@@ -1340,18 +1304,32 @@ mod tests {
             ..small_job(1, 0)
         };
         assert_eq!(decompose(&timed, 8).len(), 1);
-        // Threaded jobs stay whole.
+        // Threaded jobs (one unit per block) slice their budget like any
+        // other explicit width.
         let threaded = JobSpec {
-            mode: ExecMode::Threaded,
+            blocks: 3,
+            units: Some(3),
             ..small_job(1, 10_000)
         };
-        assert_eq!(decompose(&threaded, 8), vec![UnitWork::Whole]);
+        assert_eq!(
+            decompose(&threaded, 8),
+            vec![
+                UnitWork::Slice {
+                    batches: Some(3_334)
+                },
+                UnitWork::Slice {
+                    batches: Some(3_333)
+                },
+                UnitWork::Slice {
+                    batches: Some(3_333)
+                },
+            ]
+        );
         // Budgets are partitioned exactly.
         let budget: u64 = decompose(&wide, 2)
             .iter()
             .map(|w| match w {
                 UnitWork::Slice { batches } | UnitWork::Cube { batches, .. } => batches.unwrap(),
-                UnitWork::Whole => 0,
             })
             .sum();
         assert_eq!(budget, 1_000);

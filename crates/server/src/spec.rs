@@ -1,14 +1,14 @@
 //! Job specifications: what a client asks the runtime to solve, and how.
 //!
 //! A [`JobSpec`] is the unit of admission — problem, solver shape,
-//! termination, execution mode, priority, and deadline, all expressible as
+//! termination, decomposition width, priority, and deadline, all expressible as
 //! one JSON object on the wire. [`ProblemSpec::build`] is the single place
 //! instances are materialized from a spec, shared by the server workers, the
 //! CLI (which converts its flags into a `ProblemSpec`), and the offline
 //! reference runs in the integration tests — so "the job the server ran" and
 //! "the job the test reproduces" are the same model by construction.
 
-use dabs_core::{DabsConfig, DabsSolver, Termination};
+use dabs_core::{unit_seed, DabsConfig, DabsSolver, Termination};
 use dabs_model::{KernelChoice, QuboModel};
 use dabs_problems::{gset, qaplib, QaspInstance, Topology};
 use dabs_rng::{Rng64, Xorshift64Star};
@@ -27,9 +27,11 @@ pub const MAX_PROBLEM_N: usize = 4096;
 /// QAP generators (`tai`/`nug`/`tho`) square their size into n² QUBO
 /// variables, so their cap is the square root of the variable budget.
 pub const MAX_QAP_SIZE: usize = 64;
-/// Threaded mode spawns a devices × (blocks + 1) thread tree per job.
+/// Every unit of a job holds one solution pool and one resident device
+/// state per device, so `devices` scales each unit's memory and set-up.
 pub const MAX_DEVICES: usize = 32;
-/// See [`MAX_DEVICES`].
+/// `blocks` becomes the unit count of a `"mode": "threaded"` submit, so it
+/// is capped like [`MAX_DEVICES`] (and again by [`MAX_UNITS_PER_JOB`]).
 pub const MAX_BLOCKS: usize = 32;
 
 /// Which instance to solve. `kind` selects a generator family (the same set
@@ -268,53 +270,24 @@ impl ProblemSpec {
     }
 }
 
-/// How the job runs on its worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Single-threaded deterministic run — same (problem, seed, batches)
-    /// always yields the same energies; the right mode for reproducible
-    /// tenants and for tests.
-    #[default]
-    Sequential,
-    /// Full threaded solve (devices × blocks thread-tree) on the worker.
-    Threaded,
-}
-
-impl ExecMode {
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Sequential => "sequential",
-            ExecMode::Threaded => "threaded",
-        }
-    }
-
-    pub fn from_name(s: &str) -> Result<Self, String> {
-        match s {
-            "sequential" => Ok(ExecMode::Sequential),
-            "threaded" => Ok(ExecMode::Threaded),
-            other => Err(format!("unknown mode {other:?}")),
-        }
-    }
-}
-
 /// Everything the runtime needs to admit, schedule, and execute one job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     pub problem: ProblemSpec,
     /// Solver pools/devices (paper's island count).
     pub devices: usize,
-    /// Block workers per device (threaded mode only).
+    /// Resident blocks per device. On the wire, `"mode": "threaded"`
+    /// without `units` runs the job as `blocks` units.
     pub blocks: usize,
     /// Solver seed.
     pub seed: u64,
     /// Use the fixed-strategy ABS baseline preset instead of full DABS.
     pub abs: bool,
-    pub mode: ExecMode,
     /// Stop at (≤) this energy.
     pub target: Option<i64>,
     /// Wall-clock budget, milliseconds.
     pub time_ms: Option<u64>,
-    /// Batch budget (exact in sequential mode).
+    /// Batch budget, split exactly across the job's units.
     pub max_batches: Option<u64>,
     /// Higher runs first; ties are FIFO.
     pub priority: i32,
@@ -324,7 +297,7 @@ pub struct JobSpec {
     /// clamped to the remaining window.
     pub deadline_unix_ms: Option<u64>,
     /// Explicit decomposition width: how many stealable units the scheduler
-    /// splits this job into (sequential mode only). `None` lets the pool
+    /// splits this job into. `None` lets the pool
     /// decide from the batch budget and worker count; capped at
     /// [`MAX_UNITS_PER_JOB`].
     pub units: Option<u32>,
@@ -363,7 +336,6 @@ impl Default for JobSpec {
             blocks: 1,
             seed: 1,
             abs: false,
-            mode: ExecMode::Sequential,
             target: None,
             time_ms: None,
             max_batches: None,
@@ -426,12 +398,18 @@ impl JobSpec {
 
     /// Build the solver exactly as the CLI would for the same flags.
     pub fn build_solver(&self) -> Result<DabsSolver, String> {
+        self.build_unit_solver(0)
+    }
+
+    /// The solver for unit `unit` of this job: [`JobSpec::build_solver`]
+    /// with the seed of that unit ([`unit_seed`]; unit 0 keeps `seed`).
+    pub fn build_unit_solver(&self, unit: u32) -> Result<DabsSolver, String> {
         let mut cfg = if self.abs {
             DabsConfig::abs_baseline(self.devices, self.blocks)
         } else {
             DabsConfig::dabs(self.devices, self.blocks)
         };
-        cfg.seed = self.seed;
+        cfg.seed = unit_seed(self.seed, unit);
         cfg.params.batch_lanes = self.lanes.unwrap_or(0);
         DabsSolver::new(cfg)
     }
@@ -459,7 +437,6 @@ impl JobSpec {
             ("blocks", Json::from(self.blocks)),
             ("seed", Json::from(self.seed)),
             ("abs", Json::from(self.abs)),
-            ("mode", Json::str(self.mode.name())),
             ("target", self.target.into()),
             ("time_ms", self.time_ms.into()),
             ("max_batches", self.max_batches.into()),
@@ -478,22 +455,27 @@ impl JobSpec {
     pub fn from_json(j: &Json) -> Result<Self, String> {
         let problem = ProblemSpec::from_json(j.get("problem").ok_or("job needs a \"problem\"")?)?;
         let d = JobSpec::default();
+        let blocks = j.get_u64("blocks").map_or(d.blocks, |v| v as usize);
+        let mut units = j.get_u64("units").map(|v| v as u32);
+        // `mode` is an alias kept for older clients and job logs:
+        // "threaded" means one unit per block unless `units` says otherwise.
+        match j.get_str("mode") {
+            None | Some("sequential") => {}
+            Some("threaded") => units = units.or(Some(blocks as u32)),
+            Some(other) => return Err(format!("unknown mode {other:?}")),
+        }
         Ok(Self {
             problem,
             devices: j.get_u64("devices").map_or(d.devices, |v| v as usize),
-            blocks: j.get_u64("blocks").map_or(d.blocks, |v| v as usize),
+            blocks,
             seed: j.get_u64("seed").unwrap_or(d.seed),
             abs: j.get_bool("abs").unwrap_or(false),
-            mode: match j.get_str("mode") {
-                Some(m) => ExecMode::from_name(m)?,
-                None => ExecMode::Sequential,
-            },
             target: j.get_i64("target"),
             time_ms: j.get_u64("time_ms"),
             max_batches: j.get_u64("max_batches"),
             priority: j.get_i64("priority").unwrap_or(0) as i32,
             deadline_unix_ms: j.get_u64("deadline_unix_ms"),
-            units: j.get_u64("units").map(|v| v as u32),
+            units,
             lanes: j.get_u64("lanes").map(|v| v as u32),
             tenant: j.get_str("tenant").map(String::from),
             idempotency_key: j.get_str("idempotency_key").map(String::from),
@@ -521,7 +503,6 @@ mod tests {
             blocks: 2,
             seed: 42,
             abs: true,
-            mode: ExecMode::Threaded,
             target: Some(-17),
             time_ms: Some(250),
             max_batches: Some(1000),
@@ -565,7 +546,7 @@ mod tests {
             Json::parse("{\"problem\":{\"kind\":\"random\",\"n\":16},\"max_batches\":10}").unwrap();
         let spec = JobSpec::from_json(&j).unwrap();
         assert_eq!(spec.devices, 2);
-        assert_eq!(spec.mode, ExecMode::Sequential);
+        assert_eq!(spec.units, None);
         assert_eq!(spec.problem.seed, 1);
         spec.validate().unwrap();
     }
@@ -755,5 +736,45 @@ mod tests {
         cfg.seed = 77;
         assert_eq!(solver.config().seed, cfg.seed);
         assert_eq!(solver.config().devices, cfg.devices);
+    }
+
+    #[test]
+    fn threaded_mode_is_an_alias_for_one_unit_per_block() {
+        let parse = |extra: &str| {
+            let line = format!(
+                "{{\"problem\":{{\"kind\":\"random\",\"n\":16}},\"max_batches\":10,\"blocks\":3{extra}}}"
+            );
+            JobSpec::from_json(&Json::parse(&line).unwrap())
+        };
+        // "threaded" without units runs one unit per block.
+        assert_eq!(parse(",\"mode\":\"threaded\"").unwrap().units, Some(3));
+        // An explicit width wins over the alias.
+        let both = parse(",\"mode\":\"threaded\",\"units\":5").unwrap();
+        assert_eq!(both.units, Some(5));
+        // "sequential" is a no-op, as is leaving the field out.
+        assert_eq!(
+            parse(",\"mode\":\"sequential\"").unwrap(),
+            parse("").unwrap()
+        );
+        assert_eq!(parse("").unwrap().units, None);
+        // Unknown values are still rejected.
+        let err = parse(",\"mode\":\"gpu\"").unwrap_err();
+        assert!(err.contains("unknown mode"), "{err}");
+        // The spec no longer writes the field.
+        assert!(!parse("").unwrap().to_json().to_string().contains("mode"));
+    }
+
+    #[test]
+    fn unit_solvers_keep_unit_zero_on_the_job_seed() {
+        let spec = JobSpec {
+            seed: 77,
+            max_batches: Some(60),
+            ..JobSpec::default()
+        };
+        assert_eq!(spec.build_unit_solver(0).unwrap().config().seed, 77);
+        let s1 = spec.build_unit_solver(1).unwrap().config().seed;
+        let s2 = spec.build_unit_solver(2).unwrap().config().seed;
+        assert_eq!(s1, unit_seed(77, 1));
+        assert!(s1 != 77 && s2 != 77 && s1 != s2);
     }
 }

@@ -606,6 +606,41 @@ mod tests {
     }
 
     #[test]
+    fn replay_accepts_admits_that_still_carry_mode() {
+        // Admit lines as the job log wrote them while specs had a `mode`
+        // field: "sequential", "threaded" without units, and "threaded"
+        // with an explicit width.
+        let line = |job: u64, mode: &str, units: &str| {
+            format!(
+                "{{\"rec\":\"admit\",\"job\":{job},\"spec\":{{\"problem\":{{\"kind\":\"random\",\
+                 \"n\":16,\"seed\":3,\"inline\":null,\"kernel\":\"auto\"}},\"devices\":2,\"blocks\":3,\
+                 \"seed\":1,\"abs\":false,\"mode\":\"{mode}\",\"target\":null,\"time_ms\":null,\
+                 \"max_batches\":40,\"priority\":0,\"deadline_unix_ms\":null,\"units\":{units},\
+                 \"lanes\":null,\"tenant\":null,\"idempotency_key\":null}}}}\n"
+            )
+        };
+        let dir = tmp_dir("mode");
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = line(1, "sequential", "null")
+            + &line(2, "threaded", "null")
+            + &line(3, "threaded", "2");
+        std::fs::write(dir.join("jobs.wal"), log).unwrap();
+        for _reopen in 0..2 {
+            // The second open replays the compacted log, written without `mode`.
+            let (_wal, replay) = Wal::open(&dir).unwrap();
+            assert_eq!(replay.truncated_bytes, 0);
+            let units: Vec<(JobId, Option<u32>)> =
+                replay.live.iter().map(|(id, s)| (*id, s.units)).collect();
+            assert_eq!(units, vec![(1, None), (2, Some(3)), (3, Some(2))]);
+            assert!(replay
+                .live
+                .iter()
+                .all(|(_, s)| s.blocks == 3 && s.max_batches == Some(40)));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn torn_tail_is_truncated_and_prefix_survives() {
         let dir = tmp_dir("torn");
         {

@@ -2,11 +2,11 @@
 //! survive an encode → parse round trip exactly, for arbitrary job specs
 //! and terminal outcomes — the replay path trusts this bijection.
 
-use dabs::server::{ExecMode, JobPhase, JobSpec, ProblemSpec, Wal, WalRecord};
+use dabs::server::{JobPhase, JobSpec, ProblemSpec, Wal, WalRecord};
 use proptest::prelude::*;
 
 /// Derive a full [`JobSpec`] from three unconstrained words: every bit of
-/// the spec — kind, sizes, mode, optional fields, tenant, idempotency key
+/// the spec — kind, sizes, optional fields, tenant, idempotency key
 /// — is a deterministic function of the draw, covering the whole shape
 /// space without a combinatorial strategy tuple.
 fn spec_from_words(a: u64, b: u64, c: u64) -> JobSpec {
@@ -23,11 +23,6 @@ fn spec_from_words(a: u64, b: u64, c: u64) -> JobSpec {
         blocks: 1 + (a >> 17) as usize % 4,
         seed: c,
         abs: a >> 20 & 1 == 1,
-        mode: if a >> 21 & 1 == 1 {
-            ExecMode::Threaded
-        } else {
-            ExecMode::Sequential
-        },
         target: opt(a >> 22, b % 2_000_000).map(|v| v as i64 - 1_000_000),
         time_ms: None,
         max_batches: opt(a >> 23, 1 + b % 100_000),
@@ -69,7 +64,6 @@ proptest! {
                 prop_assert_eq!(s.blocks, spec.blocks);
                 prop_assert_eq!(s.seed, spec.seed);
                 prop_assert_eq!(s.abs, spec.abs);
-                prop_assert_eq!(s.mode, spec.mode);
                 prop_assert_eq!(s.target, spec.target);
                 prop_assert_eq!(s.max_batches, spec.max_batches);
                 prop_assert_eq!(s.priority, spec.priority);
