@@ -1054,6 +1054,50 @@ mod tests {
     }
 
     #[test]
+    fn each_unit_of_a_job_runs_on_its_own_seed() {
+        // The standalone fold runs unit 0 on the job seed and unit 1 on
+        // `unit_seed(seed, 1)`, warm-started from unit 0's best. Rebuild
+        // that fold offline: a unit 1 that reused the job seed would
+        // replay a different (and, cold, identical) trajectory.
+        let spec = JobSpec {
+            units: Some(2),
+            ..small_job(13, 240)
+        };
+        let record = registry().register(spec.clone());
+        execute(&record);
+        let (phase, result, error) = record.snapshot();
+        assert_eq!(phase, JobPhase::Done, "{error:?}");
+        let result = result.unwrap();
+
+        let (model, _) = spec.problem.build().unwrap();
+        let mut first = spec.build_unit_solver(0).unwrap().start_unit(
+            &model,
+            Termination::batches(120),
+            None,
+            None,
+        );
+        first.step(u64::MAX);
+        let first = first.finish();
+        let warm = WarmStart {
+            solution: first.result.best.clone(),
+            energy: first.result.energy,
+        };
+        let mut second = spec.build_unit_solver(1).unwrap().start_unit(
+            &model,
+            Termination::batches(120),
+            None,
+            Some(warm),
+        );
+        second.step(u64::MAX);
+        let folded = first.merge(second.finish()).result;
+        assert_eq!(result.batches, 240);
+        assert_eq!(result.flips, folded.flips);
+        assert_eq!(result.frequencies, folded.frequencies);
+        assert_eq!(result.energy, folded.energy);
+        assert_eq!(result.best, folded.best);
+    }
+
+    #[test]
     fn split_carve_never_mints_zero_budget_siblings() {
         // Regression for the phantom-unit fold: remaining ∈ {0, 1} must not
         // split at all, and every legal carve leaves both sides positive.

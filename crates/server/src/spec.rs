@@ -461,7 +461,9 @@ impl JobSpec {
         // "threaded" means one unit per block unless `units` says otherwise.
         match j.get_str("mode") {
             None | Some("sequential") => {}
-            Some("threaded") => units = units.or(Some(blocks as u32)),
+            // Saturate rather than truncate, so an oversized `blocks` still
+            // yields an out-of-range `units` that `validate` rejects.
+            Some("threaded") => units = units.or(Some(u32::try_from(blocks).unwrap_or(u32::MAX))),
             Some(other) => return Err(format!("unknown mode {other:?}")),
         }
         Ok(Self {
